@@ -1,6 +1,6 @@
 """Exact workbench for orientable domination, digraph domination, and packing."""
 
-from .domsearch import DEFAULT_EDGE_CAP, SOLVER_VERSION, dom
+from .domsearch import DEFAULT_EDGE_CAP, SOLVER_VERSION, Solver, dom
 from .formulas import (
     BoundsReport,
     VizingCheck,

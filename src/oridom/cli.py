@@ -13,7 +13,7 @@ import sys
 
 from .cache import DomCache
 from .corpus import DEFAULT_SEED
-from .domsearch import DEFAULT_EDGE_CAP, dom
+from .domsearch import DEFAULT_EDGE_CAP, Solver
 from .exprs import ExprError, parse_graph_expr
 from .formulas import dom_bounds
 from .graphs import CapExceeded, Orientation, complete, family
@@ -84,19 +84,18 @@ def _cmd_orient(args) -> int:
         else:
             G = load_graph(args.base) if args.base else family(params["g"])
             H = family(params["h"])
+            solver = Solver(args.max_edges, args.workers)
             if name == "corona":
-                g_opt = dom(G, max_edges=args.max_edges, workers=args.workers).witness
-                h_opt = dom(
-                    join(H, complete(1)), max_edges=args.max_edges, workers=args.workers
-                ).witness
+                g_opt = solver.dom(G).witness
+                h_opt = solver.dom(join(H, complete(1))).witness
                 digraph = corona_orientation(G, H, g_opt, h_opt)
             elif name == "cartesian":
-                g_opt = dom(G, max_edges=args.max_edges, workers=args.workers).witness
+                g_opt = solver.dom(G).witness
                 digraph = cartesian_orientation(
                     g_opt, Orientation(H, 0), max_independent_set(H)
                 )
             elif name == "lex":
-                h_opt = dom(H, max_edges=args.max_edges, workers=args.workers).witness
+                h_opt = solver.dom(H).witness
                 digraph = lex_orientation(G, max_independent_set(G), h_opt)
             else:
                 print(f"error: unknown scheme {name!r}", file=sys.stderr)
@@ -125,7 +124,7 @@ def _cmd_dom(args) -> int:
         print("explored 0")
         return 0
     try:
-        result = dom(graph, max_edges=args.max_edges, workers=args.workers)
+        result = Solver(args.max_edges, args.workers).dom(graph)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,
                         help="orientation-scan edge cap (default %(default)s)")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel scan workers (default %(default)s)")
+                        help="parallel scan workers, at least 1 (default %(default)s)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized corpora (default %(default)s)")
     common.add_argument("--cache-dir", default=None,
@@ -266,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     return args.func(args)
 
 

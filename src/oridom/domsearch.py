@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, repeat
 
 import numpy as np
 
 from .graphs import CapExceeded, Orientation, UndirectedGraph, induced_subgraph
 from .invariants import independence_number, is_bipartite, matching_number
+from .orientations import DEFAULT_EDGE_CAP, bitmask_shards
 from .solvers import DomResult, _gamma_engine
 
 SOLVER_VERSION = "1"
-DEFAULT_EDGE_CAP = 22
 _WARMUP = 256
 _CHUNK = 1 << 16
 _SUBSET_BUDGET = 800
@@ -131,14 +132,16 @@ def _scan_range(G: UndirectedGraph, start: int, stop: int, ceiling: int):
                     rows = rows[:, keep]
                     cover = cover[keep]
 
-        tallies["vector_filtered"] += width - alive.size
-        for offset in alive:
-            mask = pos + int(offset)
+        for evaluated, offset in enumerate(map(int, alive), 1):
+            mask = pos + offset
             value = _exact_gamma(n, edges, mask, best_val)
             tallies["exact_evals"] += 1
             if improve(mask, value):
-                explored += int(offset) + 1
+                # masks after the stopping one are neither filtered nor evaluated
+                tallies["vector_filtered"] += offset + 1 - evaluated
+                explored += offset + 1
                 return best_val, best_mask, explored, tallies, True
+        tallies["vector_filtered"] += width - alive.size
         explored += width
         pos += width
 
@@ -153,8 +156,9 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
             f"orientation scan capped at {max_edges} edges, got {m}"
             " (raise max_edges to override)"
         )
-    if m == 0:
-        return DomResult(G.n, Orientation(G, 0), 1, {})
+    if m == 0:  # the one orientation, evaluated in closed form
+        tallies = {"vector_filtered": 0, "exact_evals": 1, "ceiling_stop": 0}
+        return DomResult(G.n, Orientation(G, 0), 1, tallies)
 
     live = [v for v in range(G.n) if G.adj[v]]
     iso = G.n - len(live)
@@ -170,18 +174,15 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
         ceiling = min(ceiling, independence_number(G))
     scan_ceiling = ceiling - iso
 
-    total = 1 << m
-    workers = max(1, min(workers, total))
-    if workers == 1:
-        results = [_scan_range(scan_graph, 0, total, scan_ceiling)]
+    shards = bitmask_shards(scan_graph, workers)
+    if len(shards) == 1:
+        results = [_scan_range(scan_graph, *shards[0], scan_ceiling)]
     else:
-        step = -(-total // workers)
-        shards = [
-            (scan_graph, lo, min(lo + step, total), scan_ceiling)
-            for lo in range(0, total, step)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_range_star, shards))
+        starts, stops = zip(*shards)
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            results = list(
+                pool.map(_scan_range, repeat(scan_graph), starts, stops, repeat(scan_ceiling))
+            )
 
     best_val = -1
     best_mask = -1
@@ -198,5 +199,21 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
     return DomResult(best_val + iso, Orientation(G, best_mask), explored, pruned)
 
 
-def _scan_range_star(args):
-    return _scan_range(*args)
+@dataclass
+class Solver:
+    """Scan settings for one run, plus a memo of dom per labelled graph.
+
+    Results do not depend on ``max_edges`` or ``workers``, so the memo stays
+    valid if either changes; a refused scan (CapExceeded) is never stored.
+    Relabelled isomorphic graphs are separate keys.
+    """
+
+    max_edges: int = DEFAULT_EDGE_CAP
+    workers: int = 1
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def dom(self, G: UndirectedGraph) -> DomResult:
+        key = (G.n, G.edges)
+        if key not in self._memo:
+            self._memo[key] = dom(G, self.max_edges, self.workers)
+        return self._memo[key]

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .domsearch import DEFAULT_EDGE_CAP, dom
+from .domsearch import Solver
 from .graphs import UndirectedGraph, complete, induced_subgraph
 from .invariants import independence_number, is_bipartite, matching_number
 from .products import cartesian, join
@@ -40,16 +40,12 @@ class BoundsReport:
         return self.lower <= value <= self.upper
 
 
-def dom_bounds(
-    G: UndirectedGraph,
-    partition=None,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    workers: int = 1,
-) -> BoundsReport:
+def dom_bounds(G: UndirectedGraph, partition=None, solver: Solver | None = None) -> BoundsReport:
     """Sandwich bounds on DOM(G): independence below, n - matching above.
 
     A vertex partition tightens the upper bound to the sum of the DOM
-    values of its induced subgraphs (computed exactly, caps apply).
+    values of its induced subgraphs (computed exactly by ``solver``, whose
+    caps apply; None means a fresh Solver()).
     """
     alpha = independence_number(G)
     upper = G.n - matching_number(G)
@@ -62,10 +58,8 @@ def dom_bounds(
         flat = sorted(v for block in blocks for v in block)
         if flat != list(range(G.n)):
             raise ValueError("partition must cover every vertex exactly once")
-        total = sum(
-            dom(induced_subgraph(G, block), max_edges=max_edges, workers=workers).value
-            for block in blocks
-        )
+        solver = solver or Solver()
+        total = sum(solver.dom(induced_subgraph(G, block)).value for block in blocks)
         sources["partition_sum"] = total
         upper = min(upper, total)
     return BoundsReport(alpha, upper, sources)
@@ -87,30 +81,25 @@ def erdos_szekeres_bounds(n: int) -> BoundsReport:
     return BoundsReport(lower, upper, {"log_lower": lower, "log_upper": upper})
 
 
-def corona_dom(
-    G: UndirectedGraph,
-    H: UndirectedGraph,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    workers: int = 1,
-) -> int:
+def corona_dom(G: UndirectedGraph, H: UndirectedGraph, solver: Solver | None = None) -> int:
     """DOM of the corona of G and H from the DOM values of the factors.
 
     DOM(H) * n(G) when joining a universal vertex to H does not raise its
     DOM, plus DOM(G) when it does.
     """
-    dom_h = dom(H, max_edges=max_edges, workers=workers).value
-    dom_h_k1 = dom(join(H, complete(1)), max_edges=max_edges, workers=workers).value
+    solver = solver or Solver()
+    dom_h = solver.dom(H).value
+    dom_h_k1 = solver.dom(join(H, complete(1))).value
     if dom_h_k1 == dom_h:
         return dom_h * G.n
-    return dom_h * G.n + dom(G, max_edges=max_edges, workers=workers).value
+    return dom_h * G.n + solver.dom(G).value
 
 
-def join_k1_check(
-    G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1
-) -> tuple[int, int]:
+def join_k1_check(G: UndirectedGraph, solver: Solver | None = None) -> tuple[int, int]:
     """(DOM(G), DOM(G + K_1)); the second is the first or one more."""
-    dom_g = dom(G, max_edges=max_edges, workers=workers).value
-    dom_gk1 = dom(join(G, complete(1)), max_edges=max_edges, workers=workers).value
+    solver = solver or Solver()
+    dom_g = solver.dom(G).value
+    dom_gk1 = solver.dom(join(G, complete(1))).value
     if dom_gk1 not in (dom_g, dom_g + 1):
         raise AssertionError(
             f"universal-vertex join changed DOM from {dom_g} to {dom_gk1}"
@@ -167,15 +156,12 @@ class VizingCheck:
 
 
 def vizing_like_check(
-    G: UndirectedGraph,
-    H: UndirectedGraph,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    workers: int = 1,
+    G: UndirectedGraph, H: UndirectedGraph, solver: Solver | None = None
 ) -> VizingCheck:
     """Compare DOM(G x H) (Cartesian) against DOM(G) * DOM(H)."""
-    dom_g = dom(G, max_edges=max_edges, workers=workers).value
-    dom_h = dom(H, max_edges=max_edges, workers=workers).value
-    product = cartesian(G, H)[0]
-    dom_gh = dom(product, max_edges=max_edges, workers=workers).value
+    solver = solver or Solver()
+    dom_g = solver.dom(G).value
+    dom_h = solver.dom(H).value
+    dom_gh = solver.dom(cartesian(G, H)[0]).value
     bipartite = is_bipartite(G)[0] or is_bipartite(H)[0]
     return VizingCheck(dom_gh, dom_g * dom_h, dom_gh >= dom_g * dom_h, bipartite)

@@ -25,12 +25,12 @@ from .graphs import (
 )
 from .products import cartesian, join, lexicographic
 
-ENUMERATION_EDGE_CAP = 22
+DEFAULT_EDGE_CAP = 22  # orientation scans and enumeration refuse larger graphs
 
 
 def enumerate_orientations(
     G: UndirectedGraph,
-    max_edges: int = ENUMERATION_EDGE_CAP,
+    max_edges: int = DEFAULT_EDGE_CAP,
     start: int = 0,
     stop: int | None = None,
 ) -> Iterator[Orientation]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import corpus
-from .domsearch import DEFAULT_EDGE_CAP, dom
+from .domsearch import DEFAULT_EDGE_CAP, Solver
 from .formulas import (
     corona_dom,
     dom_bounds,
@@ -26,7 +26,6 @@ from .formulas import (
 from .graphs import (
     CapExceeded,
     Orientation,
-    UndirectedGraph,
     complete,
     cycle,
     delete_edge,
@@ -76,20 +75,10 @@ def _case(suite, description, expected, computed) -> VerifyCase:
     return VerifyCase(suite, description, expected, computed, PASS if ok else FAIL)
 
 
-class _Config:
-    def __init__(self, seed=corpus.DEFAULT_SEED, workers=1, max_edges=DEFAULT_EDGE_CAP):
-        self.seed = seed
-        self.workers = workers
-        self.max_edges = max_edges
-
-    def dom(self, G: UndirectedGraph) -> int:
-        return dom(G, max_edges=self.max_edges, workers=self.workers).value
-
-
-def _suite_bounds(cfg: _Config) -> list[VerifyCase]:
+def _suite_bounds(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = [
-        _case("bounds", "DOM(K_2) = 1", 1, cfg.dom(complete(2))),
-        _case("bounds", "DOM(K_3) = 2", 2, cfg.dom(complete(3))),
+        _case("bounds", "DOM(K_2) = 1", 1, solver.dom(complete(2)).value),
+        _case("bounds", "DOM(K_3) = 2", 2, solver.dom(complete(3)).value),
     ]
     for n in range(4, 8):
         interval = erdos_szekeres_bounds(n)
@@ -98,12 +87,12 @@ def _suite_bounds(cfg: _Config) -> list[VerifyCase]:
                 "bounds",
                 f"DOM(K_{n}) within log bounds [{interval.lower}, {interval.upper}]",
                 (interval.lower, interval.upper),
-                cfg.dom(complete(n)),
+                solver.dom(complete(n)).value,
             )
         )
     k9 = complete(9)
     try:
-        value = cfg.dom(k9)
+        value = solver.dom(k9).value
         cases.append(_case("bounds", "DOM(K_9) = 3 (known value)", 3, value))
     except CapExceeded:
         interval = erdos_szekeres_bounds(9)
@@ -121,16 +110,16 @@ def _suite_bounds(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _suite_corona(cfg: _Config) -> list[VerifyCase]:
+def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     for n in (2, 4, 6):
-        cases.append(_case("corona", f"DOM(P_{n}) = {n // 2}", n // 2, cfg.dom(path(n))))
+        cases.append(_case("corona", f"DOM(P_{n}) = {n // 2}", n // 2, solver.dom(path(n)).value))
         cases.append(
             _case(
                 "corona",
                 f"DOM(P_{n} + K_1) = {n // 2 + 1}",
                 n // 2 + 1,
-                cfg.dom(join(path(n), complete(1))),
+                solver.dom(join(path(n), complete(1))).value,
             )
         )
     for n in (2, 4, 6, 8):
@@ -145,13 +134,13 @@ def _suite_corona(cfg: _Config) -> list[VerifyCase]:
     for g_name, G in (("K_1", complete(1)), ("P_2", path(2)), ("P_3", path(3)), ("K_3", complete(3))):
         for h_name, H in (("K_1", complete(1)), ("P_2", path(2))):
             C = corona(G, H)[0]
-            formula = corona_dom(G, H, max_edges=cfg.max_edges, workers=cfg.workers)
+            formula = corona_dom(G, H, solver)
             cases.append(
                 _case(
                     "corona",
                     f"DOM({g_name} corona {h_name}) matches the two-case formula",
                     formula,
-                    cfg.dom(C),
+                    solver.dom(C).value,
                 )
             )
             cases.append(
@@ -159,7 +148,7 @@ def _suite_corona(cfg: _Config) -> list[VerifyCase]:
                     "corona",
                     f"DOM({g_name} corona {h_name}) matches the brute-force oracle",
                     dom_oracle(C),
-                    cfg.dom(C),
+                    solver.dom(C).value,
                 )
             )
     for name, G, expected in (
@@ -167,7 +156,7 @@ def _suite_corona(cfg: _Config) -> list[VerifyCase]:
         ("K_2", complete(2), (1, 2)),
         ("K_1", complete(1), (1, 1)),
     ):
-        got = join_k1_check(G, max_edges=cfg.max_edges, workers=cfg.workers)
+        got = join_k1_check(G, solver)
         cases.append(
             _case(
                 "corona",
@@ -179,12 +168,12 @@ def _suite_corona(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _suite_cartesian(cfg: _Config) -> list[VerifyCase]:
+def _suite_cartesian(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     p3k3 = cartesian(path(3), complete(3))[0]
     k3k3 = cartesian(complete(3), complete(3))[0]
-    cases.append(_case("cartesian", "DOM(P_3 box K_3) = 4", 4, cfg.dom(p3k3)))
-    cases.append(_case("cartesian", "DOM(K_3 box K_3) = 4", 4, cfg.dom(k3k3)))
+    cases.append(_case("cartesian", "DOM(P_3 box K_3) = 4", 4, solver.dom(p3k3).value))
+    cases.append(_case("cartesian", "DOM(K_3 box K_3) = 4", 4, solver.dom(k3k3).value))
     fig = k3_box_k3_orientation()
     cases.append(
         _case("cartesian", "gamma of the out-degree-2 orientation of K_3 box K_3 is 4", 4, gamma(fig).value)
@@ -198,7 +187,7 @@ def _suite_cartesian(cfg: _Config) -> list[VerifyCase]:
         )
     )
     # constructed lower-bound witness: gamma >= DOM(G) * |A| with A independent in H
-    g_opt = dom(path(3), max_edges=cfg.max_edges, workers=cfg.workers).witness
+    g_opt = solver.dom(path(3)).witness
     scheme = cartesian_orientation(g_opt, Orientation(complete(3), 0), (0,))
     cases.append(
         _case(
@@ -213,7 +202,7 @@ def _suite_cartesian(cfg: _Config) -> list[VerifyCase]:
         ("P_3", path(3), "K_3", complete(3), (4, 4)),
         ("P_2", path(2), "P_2", path(2), (2, 1)),
     ):
-        check = vizing_like_check(G, H, max_edges=cfg.max_edges, workers=cfg.workers)
+        check = vizing_like_check(G, H, solver)
         cases.append(
             _case(
                 "cartesian",
@@ -226,11 +215,11 @@ def _suite_cartesian(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _suite_prism(cfg: _Config) -> list[VerifyCase]:
+def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     for n in (3, 4, 5, 6):
         prism = cartesian(cycle(n), complete(2))[0]
-        cases.append(_case("prism", f"DOM(C_{n} box K_2) = {n}", n, cfg.dom(prism)))
+        cases.append(_case("prism", f"DOM(C_{n} box K_2) = {n}", n, solver.dom(prism).value))
         cases.append(
             _case(
                 "prism",
@@ -239,11 +228,11 @@ def _suite_prism(cfg: _Config) -> list[VerifyCase]:
                 gamma(prism_orientation(n)).value,
             )
         )
-    graphs = corpus.prism_corpus(seed=cfg.seed)
+    graphs = corpus.prism_corpus(seed=seed)
     violations = 0
     for G in graphs:
         prism = cartesian(G, complete(2))[0]
-        value = cfg.dom(prism)
+        value = solver.dom(prism).value
         if not (max_induced_bipartite_order(G) <= value <= G.n):
             violations += 1
         if is_bipartite(G)[0] and value != G.n:
@@ -260,7 +249,7 @@ def _suite_prism(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _suite_lex(cfg: _Config) -> list[VerifyCase]:
+def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     pairs = (
         ("P_2", path(2), "P_2", path(2)),
@@ -271,8 +260,8 @@ def _suite_lex(cfg: _Config) -> list[VerifyCase]:
     )
     for g_name, G, h_name, H in pairs:
         product = lexicographic(G, H)[0]
-        value = cfg.dom(product)
-        dom_g, dom_h = cfg.dom(G), cfg.dom(H)
+        value = solver.dom(product).value
+        dom_g, dom_h = solver.dom(G).value, solver.dom(H).value
         low = independence_number(G) * dom_h
         high = min(dom_g * H.n, dom_h * G.n)
         cases.append(
@@ -289,11 +278,11 @@ def _suite_lex(cfg: _Config) -> list[VerifyCase]:
             "lex",
             "DOM(C_5 lex empty_2) within the odd-cycle bounds [4, 5] (exact value recorded)",
             (4, 5),
-            cfg.dom(c5k2),
+            solver.dom(c5k2).value,
         )
     )
     # constructed lower-bound witnesses
-    h_opt = dom(empty(2), max_edges=cfg.max_edges, workers=cfg.workers).witness
+    h_opt = solver.dom(empty(2)).witness
     scheme = lex_orientation(cycle(5), (0, 2), h_opt)
     cases.append(
         _case(
@@ -303,7 +292,7 @@ def _suite_lex(cfg: _Config) -> list[VerifyCase]:
             gamma(scheme).value,
         )
     )
-    k2_opt = dom(complete(2), max_edges=cfg.max_edges, workers=cfg.workers).witness
+    k2_opt = solver.dom(complete(2)).witness
     scheme = lex_orientation(path(3), (0, 2), k2_opt)
     cases.append(
         _case(
@@ -319,18 +308,18 @@ def _suite_lex(cfg: _Config) -> list[VerifyCase]:
             "lex",
             "DOM(K_{1,2,2}) via vertex substitution within [2, 5]",
             (2, 5),
-            cfg.dom(k122),
+            solver.dom(k122).value,
         )
     )
     return cases
 
 
-def _suite_multipartite(cfg: _Config) -> list[VerifyCase]:
+def _suite_multipartite(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     for sizes in corpus.multipartite_instances(18):
         report = multipartite_dom_bounds(*sizes)
         G = multipartite(*sizes)
-        value = cfg.dom(G)
+        value = solver.dom(G).value
         name = "K_{" + ",".join(map(str, sizes)) + "}"
         if report.exact:
             cases.append(_case("multipartite", f"DOM({name}) = {report.lower}", report.lower, value))
@@ -346,7 +335,7 @@ def _suite_multipartite(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _suite_tripartite(cfg: _Config) -> list[VerifyCase]:
+def _suite_tripartite(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     for sizes in corpus.multipartite_instances(20):
         if len(sizes) != 3:
@@ -355,7 +344,12 @@ def _suite_tripartite(cfg: _Config) -> list[VerifyCase]:
         G = multipartite(*sizes)
         name = "K_{" + ",".join(map(str, sizes)) + "}"
         cases.append(
-            _case("tripartite", f"DOM({name}) = {expected} by the three-case formula", expected, cfg.dom(G))
+            _case(
+                "tripartite",
+                f"DOM({name}) = {expected} by the three-case formula",
+                expected,
+                solver.dom(G).value,
+            )
         )
     table = k222_orientation()
     cases.append(
@@ -372,7 +366,7 @@ def _suite_tripartite(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _suite_counterexample(cfg: _Config) -> list[VerifyCase]:
+def _suite_counterexample(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     for k, s in ((2, 2), (2, 3), (3, 2), (3, 3)):
         D = acyclic_lex_cycle_orientation(k, s)
@@ -387,18 +381,18 @@ def _suite_counterexample(cfg: _Config) -> list[VerifyCase]:
     return cases
 
 
-def _props_cases(cfg: _Config) -> list[VerifyCase]:
+def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
-    graphs = corpus.random_graphs(200, max_n=8, max_edges=14, seed=cfg.seed, label="oracle")
+    graphs = corpus.random_graphs(200, max_n=8, max_edges=14, seed=seed, label="oracle")
 
-    oracle_bad = sum(1 for G in graphs if cfg.dom(G) != dom_oracle(G))
+    oracle_bad = sum(1 for G in graphs if solver.dom(G).value != dom_oracle(G))
     cases.append(
         _case("props", f"optimized DOM equals the brute-force oracle on {len(graphs)} graphs", 0, oracle_bad)
     )
 
     sandwich_bad = 0
     for G in graphs:
-        value = cfg.dom(G)
+        value = solver.dom(G).value
         alpha = independence_number(G)
         if not (alpha <= value <= G.n - matching_number(G)):
             sandwich_bad += 1
@@ -411,31 +405,31 @@ def _props_cases(cfg: _Config) -> list[VerifyCase]:
     sample = [G for G in graphs if G.n >= 2 and G.m <= 10][:25]
     mono_bad = 0
     for G in sample:
-        base = cfg.dom(G)
+        base = solver.dom(G).value
         for v in range(G.n):
             sub = induced_subgraph(G, [u for u in range(G.n) if u != v])
-            if cfg.dom(sub) > base:
+            if solver.dom(sub).value > base:
                 mono_bad += 1
         for u, v in G.edges:
-            if cfg.dom(delete_edge(G, u, v)) < base:
+            if solver.dom(delete_edge(G, u, v)).value < base:
                 mono_bad += 1
     cases.append(
         _case("props", f"vertex-deletion/edge-deletion monotonicity on {len(sample)} graphs", 0, mono_bad)
     )
 
-    part_rng = corpus._rng(cfg.seed, "partition")
+    part_rng = corpus._rng(seed, "partition")
     part_bad = 0
     for G in sample:
         left = sorted(part_rng.sample(range(G.n), part_rng.randint(1, G.n - 1))) if G.n > 1 else [0]
         right = [v for v in range(G.n) if v not in left]
         if not right:
             continue
-        report = dom_bounds(G, partition=(left, right), max_edges=cfg.max_edges, workers=cfg.workers)
-        if cfg.dom(G) > report.sources["partition_sum"]:
+        report = dom_bounds(G, partition=(left, right), solver=solver)
+        if solver.dom(G).value > report.sources["partition_sum"]:
             part_bad += 1
     cases.append(_case("props", f"two-block partition bound on {len(sample)} graphs", 0, part_bad))
 
-    orient_rng = corpus._rng(cfg.seed, "orientations")
+    orient_rng = corpus._rng(seed, "orientations")
     packing_bad = 0
     checked = 0
     for G in graphs[:60]:
@@ -510,15 +504,11 @@ def run_verify(
     max_edges: int = DEFAULT_EDGE_CAP,
 ) -> list[VerifyCase]:
     """Run one named suite (or ``all``) and return its cases in fixed order."""
-    cfg = _Config(seed=seed, workers=workers, max_edges=max_edges)
-    if suite == "all":
-        cases = []
-        for name in _SUITES:
-            cases.extend(_SUITES[name](cfg))
-        return cases
-    if suite not in _SUITES:
+    if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _SUITES[suite](cfg)
+    solver = Solver(max_edges, workers)
+    names = _SUITES if suite == "all" else (suite,)
+    return [case for name in names for case in _SUITES[name](solver, seed)]
 
 
 def run_props(
@@ -527,4 +517,4 @@ def run_props(
     max_edges: int = DEFAULT_EDGE_CAP,
 ) -> list[VerifyCase]:
     """Run the randomized invariant suite."""
-    return _props_cases(_Config(seed=seed, workers=workers, max_edges=max_edges))
+    return _props_cases(Solver(max_edges, workers), seed)

@@ -150,6 +150,16 @@ def test_verify_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_nonpositive_workers_is_usage_error(capsys):
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "counterexample", "--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --workers: must be >= 1" in err
+        assert "Traceback" not in err
+
+
 def test_print_cases_exit_codes(capsys):
     from oridom.cli import _print_cases
     from oridom.verify import FAIL, PASS, SKIPPED, VerifyCase

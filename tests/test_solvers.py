@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_gamma, brute_rho
-from oridom.domsearch import dom
+from oridom.domsearch import Solver, dom
 from oridom.graphs import (
     CapExceeded,
     Orientation,
@@ -149,6 +149,7 @@ def test_dom_edgeless():
     result = dom(empty(6))
     assert result.value == 6
     assert result.witness.bits == 0
+    assert result.nodes_explored == result.pruned_by["exact_evals"] == 1
 
 
 def test_dom_isolated_vertices_are_added():
@@ -222,7 +223,24 @@ def test_dom_ceiling_stop_in_vectorized_phase():
     assert result.value == 9
     assert result.pruned_by["ceiling_stop"] == 1
     assert result.nodes_explored == result.witness.bits + 1 > 256
+    assert result.nodes_explored == result.pruned_by["vector_filtered"] + result.pruned_by["exact_evals"]
     assert gamma(result.witness.to_digraph()).value == 9
+
+
+def test_solver_memoizes_dom_per_labelled_graph():
+    solver = Solver()
+    G = path(4)
+    result = solver.dom(G)
+    plain = dom(G)
+    assert (result.value, result.witness.bits) == (plain.value, plain.witness.bits)
+    assert solver.dom(G) is result
+    assert solver.dom(build_graph(4, [(0, 1), (1, 2), (2, 3)])) is result
+    # the same path relabelled is a separate key, solved afresh
+    relabelled = solver.dom(build_graph(4, [(0, 2), (1, 3), (2, 3)]))
+    assert relabelled is not result and relabelled.value == result.value
+    for _ in range(2):  # a refused scan is not stored
+        with pytest.raises(CapExceeded):
+            solver.dom(complete(9))
 
 
 def test_dom_smallest_witness_bitmask():
