@@ -133,6 +133,9 @@ def _cmd_dom(args) -> int:
     print(f"value {result.value}")
     print(f"witness {result.witness.bits}")
     print(f"explored {result.nodes_explored}")
+    if args.stats:
+        for key, value in sorted(result.pruned_by.items()):
+            print(f"{key} {value}")
     return 0
 
 
@@ -240,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dom", parents=[common], help="orientable domination number")
     p.add_argument("--graph", required=True)
     p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+    p.add_argument("--stats", action="store_true",
+                   help="after a scan, also print its counters as key-value lines")
     p.set_defaults(func=_cmd_dom)
 
     p = sub.add_parser("gamma", parents=[common], help="digraph domination number")

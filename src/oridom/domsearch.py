@@ -1,8 +1,24 @@
 """Orientation-space maximization of the digraph domination number.
 
 dom(G) scans every orientation bitmask in increasing order, keeping the
-maximum gamma seen. Orientations that provably cannot beat the incumbent
-are discarded in bulk:
+largest gamma seen (the incumbent). The scan lives inside the sandwich
+
+    alpha(G) <= DOM(G) <= n(G) - matching_number(G).
+
+The alpha floor: orienting every edge out of a maximum independent set
+makes its vertices sources, which every dominating set contains, so
+DOM >= alpha. The incumbent starts at alpha - 1 instead of 0, so masks
+with gamma < alpha are discarded without an exact evaluation. The witness
+is unchanged: a mask with gamma < alpha has gamma < DOM, so it is never
+the smallest mask attaining DOM.
+
+The n - nu ceiling: the scan stops at the first mask whose gamma reaches
+n - matching_number. On a bipartite graph this equals alpha (Konig), so
+there the scan ends at the first mask attaining the floor.
+
+Masks past a warmup of sequential exact evaluations are built in numpy
+chunks, and those that provably cannot beat the incumbent are discarded
+in bulk:
 
   * when the number of vertex subsets of size <= incumbent is small, a
     vectorized pass marks every orientation dominated by one of them
@@ -11,9 +27,13 @@ are discarded in bulk:
     certifies gamma <= incumbent for everything it covers.
 
 Survivors get an exact branch-and-bound gamma with the incumbent as
-cutoff. The scan stops once the incumbent reaches the ceiling
-n(G) - matching_number(G); for bipartite graphs that ceiling equals the
-independence number, so the bipartite early exit is the same test.
+cutoff. When a survivor raises the incumbent, the chunk's remaining
+survivors passed the filter at the old, lower incumbent, so unless the
+ceiling is reached they are filtered again at the new one before any of
+them gets an exact gamma. The masks the old filter discarded need no
+second pass: they have gamma <= the old incumbent, so they cannot beat
+the new one either. The incumbent rises at most DOM times, so a chunk is
+refiltered at most that often.
 
 Isolated vertices are forced into every dominating set of every
 orientation; they are stripped before the scan and added back to the
@@ -31,7 +51,7 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .graphs import CapExceeded, Orientation, UndirectedGraph, induced_subgraph
-from .invariants import independence_number, is_bipartite, matching_number
+from .invariants import independence_number, matching_number
 from .orientations import DEFAULT_EDGE_CAP, bitmask_shards
 from .solvers import DomResult, _gamma_engine
 
@@ -58,14 +78,62 @@ def _subset_passes(n, cap):
     return sum(math.comb(n, k) for k in range(1, cap + 1))
 
 
-def _scan_range(G: UndirectedGraph, start: int, stop: int, ceiling: int):
-    """Scan orientation bitmasks in [start, stop).
+def _closed_out_rows(n, edges, start, width):
+    """rows[v][j]: closed out-neighbourhood bitset of v under mask start + j."""
+    one = np.uint64(1)
+    masks = np.arange(start, start + width, dtype=np.uint64)
+    rows = np.empty((n, width), dtype=np.uint64)
+    for v in range(n):
+        rows[v] = one << np.uint64(v)
+    for e, (u, v) in enumerate(edges):
+        bit = (masks >> np.uint64(e)) & one
+        rows[u] |= (bit ^ one) << np.uint64(v)
+        rows[v] |= bit << np.uint64(u)
+    return rows
+
+
+def _drop_covered(rows, alive, n, cap):
+    """Drop the orientations (columns of rows) that certainly have gamma <= cap."""
+    full = np.uint64((1 << n) - 1)
+    if cap >= 1 and _subset_passes(n, cap) <= _SUBSET_BUDGET:
+        # exact filter: survivors are precisely gamma > cap
+        for size in range(1, cap + 1):
+            for subset in combinations(range(n), size):
+                cover = rows[subset[0]]
+                for v in subset[1:]:
+                    cover = cover | rows[v]
+                keep = cover != full
+                if not keep.all():
+                    alive = alive[keep]
+                    rows = rows[:, keep]
+                if alive.size == 0:
+                    return rows, alive
+    elif cap >= 1:
+        # greedy cover for `cap` rounds; covered implies gamma <= cap
+        cover = np.zeros(alive.size, dtype=np.uint64)
+        for _ in range(cap):
+            if alive.size == 0:
+                break
+            gains = np.bitwise_count(rows & ~cover)
+            pick = np.argmax(gains, axis=0)
+            cover = cover | rows[pick, np.arange(alive.size)]
+            keep = cover != full
+            if not keep.all():
+                alive = alive[keep]
+                rows = rows[:, keep]
+                cover = cover[keep]
+    return rows, alive
+
+
+def _scan_range(G: UndirectedGraph, start: int, stop: int, floor: int, ceiling: int):
+    """Scan orientation bitmasks in [start, stop) for gamma >= floor.
 
     Returns (best_value, best_mask, explored, tallies, hit_ceiling); the
-    best mask is the smallest one attaining the best value in the range.
+    best mask is the smallest one attaining the best value in the range,
+    or -1 with best_value floor - 1 if no mask in the range reaches floor.
     """
     n, edges = G.n, G.edges
-    best_val = 0
+    best_val = floor - 1
     best_mask = -1
     explored = 0
     tallies = {"vector_filtered": 0, "exact_evals": 0}
@@ -87,61 +155,32 @@ def _scan_range(G: UndirectedGraph, start: int, stop: int, ceiling: int):
             return best_val, best_mask, explored, tallies, True
         pos += 1
 
-    one = np.uint64(1)
-    full = np.uint64((1 << n) - 1)
     while pos < stop:
         width = min(_CHUNK, stop - pos)
-        masks = np.arange(pos, pos + width, dtype=np.uint64)
-        rows = np.empty((n, width), dtype=np.uint64)
-        for v in range(n):
-            rows[v] = one << np.uint64(v)
-        for e, (u, v) in enumerate(edges):
-            bit = (masks >> np.uint64(e)) & one
-            rows[u] |= (bit ^ one) << np.uint64(v)
-            rows[v] |= bit << np.uint64(u)
-
         cap = best_val
-        alive = np.arange(width)
-        if cap >= 1 and _subset_passes(n, cap) <= _SUBSET_BUDGET:
-            # exact filter: survivors are precisely gamma > cap
-            for size in range(1, cap + 1):
-                for subset in combinations(range(n), size):
-                    cover = rows[subset[0]]
-                    for v in subset[1:]:
-                        cover = cover | rows[v]
-                    keep = cover != full
-                    if not keep.all():
-                        alive = alive[keep]
-                        rows = rows[:, keep]
-                    if alive.size == 0:
-                        break
-                if alive.size == 0:
-                    break
-        elif cap >= 1:
-            # greedy cover for `cap` rounds; covered implies gamma <= cap
-            cover = np.zeros(alive.size, dtype=np.uint64)
-            for _ in range(cap):
-                if alive.size == 0:
-                    break
-                gains = np.bitwise_count(rows & ~cover)
-                pick = np.argmax(gains, axis=0)
-                cover = cover | rows[pick, np.arange(alive.size)]
-                keep = cover != full
-                if not keep.all():
-                    alive = alive[keep]
-                    rows = rows[:, keep]
-                    cover = cover[keep]
-
-        for evaluated, offset in enumerate(map(int, alive), 1):
+        # no name holds the chunk's rows, so the filter frees them as it compresses
+        rows, alive = _drop_covered(
+            _closed_out_rows(n, edges, pos, width), np.arange(width), n, cap
+        )
+        evaluated = i = 0
+        while i < alive.size:
+            offset = int(alive[i])
+            i += 1
+            evaluated += 1
             mask = pos + offset
-            value = _exact_gamma(n, edges, mask, best_val)
+            value = _exact_gamma(n, edges, mask, cap)
             tallies["exact_evals"] += 1
-            if improve(mask, value):
-                # masks after the stopping one are neither filtered nor evaluated
-                tallies["vector_filtered"] += offset + 1 - evaluated
-                explored += offset + 1
-                return best_val, best_mask, explored, tallies, True
-        tallies["vector_filtered"] += width - alive.size
+            if value > cap:
+                if improve(mask, value):
+                    # masks after the stopping one are neither filtered nor evaluated
+                    tallies["vector_filtered"] += offset + 1 - evaluated
+                    explored += offset + 1
+                    return best_val, best_mask, explored, tallies, True
+                # the later survivors passed the filter at the old cap
+                cap = best_val
+                rows, alive = _drop_covered(rows[:, i:], alive[i:], n, cap)
+                i = 0
+        tallies["vector_filtered"] += width - evaluated
         explored += width
         pos += width
 
@@ -168,20 +207,21 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
             f"orientation scan supports at most 64 non-isolated vertices, got {scan_graph.n}"
         )
 
-    ceiling = G.n - matching_number(G)
-    bipartite, _ = is_bipartite(G)
-    if bipartite:
-        ceiling = min(ceiling, independence_number(G))
-    scan_ceiling = ceiling - iso
+    # alpha <= DOM <= n - nu; on bipartite graphs the two meet (Konig)
+    scan_floor = independence_number(G) - iso
+    scan_ceiling = G.n - matching_number(G) - iso
 
     shards = bitmask_shards(scan_graph, workers)
     if len(shards) == 1:
-        results = [_scan_range(scan_graph, *shards[0], scan_ceiling)]
+        results = [_scan_range(scan_graph, *shards[0], scan_floor, scan_ceiling)]
     else:
         starts, stops = zip(*shards)
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             results = list(
-                pool.map(_scan_range, repeat(scan_graph), starts, stops, repeat(scan_ceiling))
+                pool.map(
+                    _scan_range, repeat(scan_graph), starts, stops,
+                    repeat(scan_floor), repeat(scan_ceiling),
+                )
             )
 
     best_val = -1
@@ -196,6 +236,10 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
         if value > best_val or (value == best_val and 0 <= mask < best_mask):
             best_val = value
             best_mask = mask
+    if best_mask < 0:
+        raise RuntimeError(
+            f"no orientation reached the alpha floor {scan_floor + iso}, but DOM >= alpha"
+        )
     return DomResult(best_val + iso, Orientation(G, best_mask), explored, pruned)
 
 

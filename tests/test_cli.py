@@ -48,6 +48,25 @@ def test_construct_and_dom(tmp_path, capsys):
     assert "value 4" in out
 
 
+def test_dom_stats_flag(tmp_path, capsys):
+    target = tmp_path / "g.ug"
+    target.write_text(format_graph(multipartite(2, 9)))
+    cache_dir = str(tmp_path / "cache")
+    assert main(["dom", "--graph", str(target), "--no-cache"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["dom", "--graph", str(target), "--cache-dir", cache_dir, "--stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "\n".join(lines[:3]) + "\n" == plain
+    stats = dict(line.split(" ") for line in lines[3:])
+    assert list(stats) == ["ceiling_stop", "exact_evals", "vector_filtered"]
+    assert stats["ceiling_stop"] == "1"
+    explored = int(plain.splitlines()[2].split()[1])
+    assert int(stats["exact_evals"]) + int(stats["vector_filtered"]) == explored
+    # a cache hit ran no scan, so it prints no stats
+    assert main(["dom", "--graph", str(target), "--cache-dir", cache_dir, "--stats"]) == 0
+    assert capsys.readouterr().out == "value 9\nwitness cached\nexplored 0\n"
+
+
 def test_dom_cache_misses_on_relabeling(tmp_path):
     cache = DomCache(tmp_path)
     G = build_graph(3, [(0, 1)])

@@ -12,8 +12,10 @@ from oridom.graphs import (
     complete,
     cycle,
     empty,
+    multipartite,
     path,
 )
+from oridom.invariants import independence_number
 from oridom.orientations import acyclic_lex_cycle_orientation, k222_orientation
 from oridom.solvers import dom_oracle, gamma, is_dominating, is_packing, rho
 
@@ -253,6 +255,63 @@ def test_dom_smallest_witness_bitmask():
         if gamma(Orientation(G, bits).to_digraph()).value == best
     )
     assert result.witness.bits == smallest
+
+
+def test_dom_alpha_floor_and_refilter():
+    # K_{2,2,3}: alpha = DOM = 3 < n - nu = 4, so the scan runs to the end;
+    # the first orientation attaining 3 sits past the sequential warmup
+    G = multipartite(2, 2, 3)
+    result = dom(G)
+    assert result.value == 3 == dom_oracle(G)
+    assert result.witness.bits == 396 > 256
+    assert all(gamma(Orientation(G, bits).to_digraph()).value < 3 for bits in range(396))
+    tally = result.pruned_by
+    assert result.nodes_explored == 1 << 16 == tally["vector_filtered"] + tally["exact_evals"]
+    assert tally["exact_evals"] <= 300  # 9,526 without the refilter, floor or not
+    sharded = dom(G, workers=2)
+    assert (sharded.value, sharded.witness.bits) == (result.value, result.witness.bits)
+    # K_{2,9}: the floor meets the bipartite ceiling
+    assert dom(multipartite(2, 9)).pruned_by["exact_evals"] <= 300  # 54,812 without the floor
+
+
+def test_dom_refilter_keeps_later_survivors():
+    # K_{1,2,4} plus a disjoint triangle: the incumbent rises to 5 at mask 7644
+    # and to 6 at mask 40412, both in the first numpy chunk, so the second
+    # witness is one of the survivors refiltered after the first rise
+    G = build_graph(10, [*multipartite(1, 2, 4).edges, (7, 8), (7, 9), (8, 9)])
+    result = dom(G)
+    assert result.value == 6
+    assert result.witness.bits == 40412
+    assert all(gamma(Orientation(G, bits).to_digraph()).value < 6 for bits in range(40412))
+    tally = result.pruned_by
+    assert result.nodes_explored == 40413 == tally["vector_filtered"] + tally["exact_evals"]
+    assert tally["exact_evals"] <= 300  # 2,991 without the refilter, 18,965 without both
+
+
+@st.composite
+def chunked_graphs(draw):
+    # 9-11 edges: more than 256 orientations, so the vectorized phase runs
+    n = draw(st.integers(5, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = draw(st.integers(9, min(11, len(pairs))))
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True)))
+
+
+@given(chunked_graphs())
+@settings(max_examples=25, deadline=None)
+def test_dom_witness_matches_unfiltered_scan(G):
+    from oridom.orientations import enumerate_orientations
+
+    best_val = 0
+    best_bits = -1
+    for orientation in enumerate_orientations(G):
+        value = gamma(orientation.to_digraph()).value
+        if value > best_val:
+            best_val = value
+            best_bits = orientation.bits
+    result = dom(G)
+    assert (result.value, result.witness.bits) == (best_val, best_bits)
+    assert result.value >= independence_number(G)
 
 
 @given(
