@@ -53,7 +53,6 @@ from .io import (
 )
 from .orientations import (
     acyclic_lex_cycle_orientation,
-    bitmask_shards,
     cartesian_orientation,
     corona_orientation,
     enumerate_orientations,

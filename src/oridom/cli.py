@@ -84,7 +84,7 @@ def _cmd_orient(args) -> int:
         else:
             G = load_graph(args.base) if args.base else family(params["g"])
             H = family(params["h"])
-            solver = Solver(args.max_edges, args.workers)
+            solver = Solver(args.max_edges)
             if name == "corona":
                 g_opt = solver.dom(G).witness
                 h_opt = solver.dom(join(H, complete(1))).witness
@@ -124,7 +124,7 @@ def _cmd_dom(args) -> int:
         print("explored 0")
         return 0
     try:
-        result = Solver(args.max_edges, args.workers).dom(graph)
+        result = Solver(args.max_edges).dom(graph)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -201,12 +201,12 @@ def _print_cases(cases, porcelain: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cases = run_verify(args.suite, seed=args.seed, workers=args.workers, max_edges=args.max_edges)
+    cases = run_verify(args.suite, seed=args.seed, max_edges=args.max_edges)
     return _print_cases(cases, args.porcelain)
 
 
 def _cmd_props(args) -> int:
-    cases = run_props(seed=args.seed, workers=args.workers, max_edges=args.max_edges)
+    cases = run_props(seed=args.seed, max_edges=args.max_edges)
     return _print_cases(cases, args.porcelain)
 
 
@@ -215,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,
                         help="orientation-scan edge cap (default %(default)s)")
     common.add_argument("--workers", type=int, default=1,
-                        help="parallel scan workers, at least 1 (default %(default)s)")
+                        help="accepted for existing callers; the scan runs in one process"
+                             " (at least 1, default %(default)s)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for randomized corpora (default %(default)s)")
     common.add_argument("--cache-dir", default=None,

@@ -37,22 +37,20 @@ refiltered at most that often.
 
 Isolated vertices are forced into every dominating set of every
 orientation; they are stripped before the scan and added back to the
-value. The witness is always the smallest bitmask attaining the value,
-independent of worker count.
+value. The witness is always the smallest bitmask attaining the value.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations
 
 import numpy as np
 
 from .graphs import CapExceeded, Orientation, UndirectedGraph, induced_subgraph
 from .invariants import independence_number, matching_number
-from .orientations import DEFAULT_EDGE_CAP, bitmask_shards
+from .orientations import DEFAULT_EDGE_CAP
 from .solvers import DomResult, _gamma_engine
 
 SOLVER_VERSION = "1"
@@ -125,34 +123,39 @@ def _drop_covered(rows, alive, n, cap):
     return rows, alive
 
 
-def _scan_range(G: UndirectedGraph, start: int, stop: int, floor: int, ceiling: int):
-    """Scan orientation bitmasks in [start, stop) for gamma >= floor.
+def _scan(G: UndirectedGraph, floor: int, ceiling: int):
+    """Scan every orientation bitmask of G for gamma >= floor.
 
-    Returns (best_value, best_mask, explored, tallies, hit_ceiling); the
-    best mask is the smallest one attaining the best value in the range,
-    or -1 with best_value floor - 1 if no mask in the range reaches floor.
+    Returns (best_value, best_mask, explored, tallies); the best mask is
+    the smallest one attaining the best value, or -1 with best_value
+    floor - 1 if no mask reaches floor. tallies["ceiling_stop"] is 1 if
+    the scan stopped at the ceiling, else 0.
     """
     n, edges = G.n, G.edges
+    stop = 1 << G.m
     best_val = floor - 1
     best_mask = -1
     explored = 0
-    tallies = {"vector_filtered": 0, "exact_evals": 0}
+    tallies = {"vector_filtered": 0, "exact_evals": 0, "ceiling_stop": 0}
 
     def improve(mask, value):
         nonlocal best_val, best_mask
         if value > best_val:
             best_val = value
             best_mask = mask
-        return best_val >= ceiling
+        if best_val >= ceiling:
+            tallies["ceiling_stop"] = 1
+            return True
+        return False
 
-    pos = start
-    warm_stop = min(stop, start + _WARMUP)
+    pos = 0
+    warm_stop = min(stop, _WARMUP)
     while pos < warm_stop:
         value = _exact_gamma(n, edges, pos, best_val)
         tallies["exact_evals"] += 1
         explored += 1
         if improve(pos, value):
-            return best_val, best_mask, explored, tallies, True
+            return best_val, best_mask, explored, tallies
         pos += 1
 
     while pos < stop:
@@ -175,7 +178,7 @@ def _scan_range(G: UndirectedGraph, start: int, stop: int, floor: int, ceiling: 
                     # masks after the stopping one are neither filtered nor evaluated
                     tallies["vector_filtered"] += offset + 1 - evaluated
                     explored += offset + 1
-                    return best_val, best_mask, explored, tallies, True
+                    return best_val, best_mask, explored, tallies
                 # the later survivors passed the filter at the old cap
                 cap = best_val
                 rows, alive = _drop_covered(rows[:, i:], alive[i:], n, cap)
@@ -184,10 +187,10 @@ def _scan_range(G: UndirectedGraph, start: int, stop: int, floor: int, ceiling: 
         explored += width
         pos += width
 
-    return best_val, best_mask, explored, tallies, False
+    return best_val, best_mask, explored, tallies
 
 
-def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1) -> DomResult:
+def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -> DomResult:
     """Exact orientable domination number with a witness orientation."""
     m = G.m
     if m > max_edges:
@@ -211,31 +214,7 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
     scan_floor = independence_number(G) - iso
     scan_ceiling = G.n - matching_number(G) - iso
 
-    shards = bitmask_shards(scan_graph, workers)
-    if len(shards) == 1:
-        results = [_scan_range(scan_graph, *shards[0], scan_floor, scan_ceiling)]
-    else:
-        starts, stops = zip(*shards)
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(
-                pool.map(
-                    _scan_range, repeat(scan_graph), starts, stops,
-                    repeat(scan_floor), repeat(scan_ceiling),
-                )
-            )
-
-    best_val = -1
-    best_mask = -1
-    explored = 0
-    pruned = {"vector_filtered": 0, "exact_evals": 0, "ceiling_stop": 0}
-    for value, mask, seen, tallies, hit in results:
-        explored += seen
-        pruned["vector_filtered"] += tallies["vector_filtered"]
-        pruned["exact_evals"] += tallies["exact_evals"]
-        pruned["ceiling_stop"] += int(hit)
-        if value > best_val or (value == best_val and 0 <= mask < best_mask):
-            best_val = value
-            best_mask = mask
+    best_val, best_mask, explored, pruned = _scan(scan_graph, scan_floor, scan_ceiling)
     if best_mask < 0:
         raise RuntimeError(
             f"no orientation reached the alpha floor {scan_floor + iso}, but DOM >= alpha"
@@ -245,19 +224,18 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP, workers: int = 1)
 
 @dataclass
 class Solver:
-    """Scan settings for one run, plus a memo of dom per labelled graph.
+    """The scan's edge cap for one run, plus a memo of dom per labelled graph.
 
-    Results do not depend on ``max_edges`` or ``workers``, so the memo stays
-    valid if either changes; a refused scan (CapExceeded) is never stored.
-    Relabelled isomorphic graphs are separate keys.
+    Results do not depend on ``max_edges``, so the memo stays valid if it
+    changes; a refused scan (CapExceeded) is never stored. Relabelled
+    isomorphic graphs are separate keys.
     """
 
     max_edges: int = DEFAULT_EDGE_CAP
-    workers: int = 1
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dom(self, G: UndirectedGraph) -> DomResult:
         key = (G.n, G.edges)
         if key not in self._memo:
-            self._memo[key] = dom(G, self.max_edges, self.workers)
+            self._memo[key] = dom(G, self.max_edges)
         return self._memo[key]

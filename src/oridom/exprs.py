@@ -24,6 +24,11 @@ class ExprError(ValueError):
     """Malformed construction expression."""
 
 
+def _is_digit(ch: str) -> bool:
+    # str.isdigit() also accepts characters such as '²' that int() rejects
+    return "0" <= ch <= "9"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -77,7 +82,7 @@ class _Parser:
             mark = self.pos
             self.pos += 1
             self._skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
+            if self.pos < len(self.text) and _is_digit(self.text[self.pos]):
                 params.append(str(self._int()))
             else:
                 self.pos = mark
@@ -90,12 +95,20 @@ class _Parser:
     def _int(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if start == self.pos:
             raise ExprError(f"expected an integer at position {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ExprError(f"integer too long at position {start}") from None
 
 
 def parse_graph_expr(text: str) -> UndirectedGraph:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ExprError(
+            f"expression nested too deeply for the parser ({len(text)} characters)"
+        ) from None

@@ -29,36 +29,18 @@ DEFAULT_EDGE_CAP = 22  # orientation scans and enumeration refuse larger graphs
 
 
 def enumerate_orientations(
-    G: UndirectedGraph,
-    max_edges: int = DEFAULT_EDGE_CAP,
-    start: int = 0,
-    stop: int | None = None,
+    G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP
 ) -> Iterator[Orientation]:
     """All orientations of G in increasing bitmask order.
 
-    ``start``/``stop`` select a contiguous bitmask shard so the space can
-    be split across workers; see bitmask_shards(). Caps are validated
-    eagerly, before the first orientation is produced.
+    The cap is validated eagerly, before the first orientation is produced.
     """
     if G.m > max_edges:
         raise CapExceeded(
             f"orientation enumeration capped at {max_edges} edges, got {G.m}"
             " (raise max_edges to override)"
         )
-    total = 1 << G.m
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise ValueError(f"invalid shard [{start}, {stop}) for {total} orientations")
-    return (Orientation(G, bits) for bits in range(start, stop))
-
-
-def bitmask_shards(G: UndirectedGraph, shards: int) -> list[tuple[int, int]]:
-    """Split the orientation bitmask space into contiguous [start, stop) ranges."""
-    total = 1 << G.m
-    shards = max(1, min(shards, total))
-    step = -(-total // shards)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return (Orientation(G, bits) for bits in range(1 << G.m))
 
 
 def _same_shape(a: UndirectedGraph, b: UndirectedGraph) -> bool:

@@ -503,10 +503,13 @@ def run_verify(
     workers: int = 1,
     max_edges: int = DEFAULT_EDGE_CAP,
 ) -> list[VerifyCase]:
-    """Run one named suite (or ``all``) and return its cases in fixed order."""
+    """Run one named suite (or ``all``) and return its cases in fixed order.
+
+    ``workers`` is accepted for existing callers; the scan runs in one process.
+    """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    solver = Solver(max_edges, workers)
+    solver = Solver(max_edges)
     names = _SUITES if suite == "all" else (suite,)
     return [case for name in names for case in _SUITES[name](solver, seed)]
 
@@ -516,5 +519,8 @@ def run_props(
     workers: int = 1,
     max_edges: int = DEFAULT_EDGE_CAP,
 ) -> list[VerifyCase]:
-    """Run the randomized invariant suite."""
-    return _props_cases(Solver(max_edges, workers), seed)
+    """Run the randomized invariant suite.
+
+    ``workers`` is accepted for existing callers; the scan runs in one process.
+    """
+    return _props_cases(Solver(max_edges), seed)

@@ -26,6 +26,19 @@ def test_expr_parser():
         parse_graph_expr("path:3 extra")
 
 
+def test_expr_parser_rejects_non_ascii_digits_and_deep_nesting():
+    for text in ("path:²", "path:٣", "multi:1,²"):
+        with pytest.raises(ExprError):
+            parse_graph_expr(text)
+    with pytest.raises(ExprError, match="nested too deeply"):
+        parse_graph_expr("cart(" * 3000 + "path:1" + ",path:1)" * 3000)
+
+
+def test_construct_non_ascii_digit_is_usage_error(capsys):
+    assert main(["construct", "path:²"]) == 2
+    assert capsys.readouterr().err.startswith("error: expected an integer")
+
+
 def test_construct_and_dom(tmp_path, capsys):
     target = tmp_path / "g.ug"
     assert main(["construct", "cart(path:3,complete:3)", "--out", str(target)]) == 0

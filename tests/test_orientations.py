@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from oridom.graphs import (
@@ -14,7 +16,6 @@ from oridom.graphs import (
 from oridom.invariants import is_acyclic
 from oridom.orientations import (
     acyclic_lex_cycle_orientation,
-    bitmask_shards,
     cartesian_orientation,
     corona_orientation,
     enumerate_orientations,
@@ -46,17 +47,8 @@ def test_enumeration_cap_is_eager():
     G = complete(8)  # 28 edges
     with pytest.raises(CapExceeded):
         enumerate_orientations(G)
-    stream = enumerate_orientations(G, max_edges=28, stop=4)
-    assert [o.bits for o in stream] == [0, 1, 2, 3]
-
-
-def test_shards_partition_the_space():
-    G = cycle(5)
-    shards = bitmask_shards(G, 3)
-    collected = []
-    for start, stop in shards:
-        collected.extend(o.bits for o in enumerate_orientations(G, start=start, stop=stop))
-    assert collected == list(range(32))
+    stream = enumerate_orientations(G, max_edges=28)
+    assert [o.bits for o in islice(stream, 4)] == [0, 1, 2, 3]
 
 
 def test_every_scheme_covers_its_base():

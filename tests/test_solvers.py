@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_gamma, brute_rho
+import oridom
 from oridom.domsearch import Solver, dom
 from oridom.graphs import (
     CapExceeded,
@@ -161,21 +167,25 @@ def test_dom_isolated_vertices_are_added():
     assert gamma(result.witness.to_digraph()).value == result.value
 
 
-def test_dom_deterministic_and_worker_independent():
+def test_dom_deterministic():
     G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
     first = dom(G)
     second = dom(G)
     assert (first.value, first.witness.bits) == (second.value, second.witness.bits)
-    sharded = dom(G, workers=2)
-    assert (sharded.value, sharded.witness.bits) == (first.value, first.witness.bits)
 
 
-def test_dom_worker_independent_on_chunked_scan():
-    # large enough that the vectorized chunk path runs inside each shard
-    G = complete(6)  # 2^15 orientations
-    single = dom(G)
-    sharded = dom(G, workers=2)
-    assert (single.value, single.witness.bits) == (sharded.value, sharded.witness.bits)
+def test_import_starts_no_process_pool_machinery():
+    # the scan runs in one process, so importing the package loads no pool
+    code = (
+        "import sys, oridom; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = str(Path(oridom.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_dom_matches_unfiltered_full_scan():
@@ -268,8 +278,6 @@ def test_dom_alpha_floor_and_refilter():
     tally = result.pruned_by
     assert result.nodes_explored == 1 << 16 == tally["vector_filtered"] + tally["exact_evals"]
     assert tally["exact_evals"] <= 300  # 9,526 without the refilter, floor or not
-    sharded = dom(G, workers=2)
-    assert (sharded.value, sharded.witness.bits) == (result.value, result.witness.bits)
     # K_{2,9}: the floor meets the bipartite ceiling
     assert dom(multipartite(2, 9)).pruned_by["exact_evals"] <= 300  # 54,812 without the floor
 
