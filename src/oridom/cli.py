@@ -113,11 +113,13 @@ def _cmd_orient(args) -> int:
 def _cmd_dom(args) -> int:
     try:
         graph = load_graph(args.graph)
+        cache = None if args.no_cache else DomCache(args.cache_dir)
+        cached = cache.lookup(graph) if cache else None
+        if cache and cached is None:  # an unusable cache directory fails before the scan
+            cache.directory.mkdir(parents=True, exist_ok=True)
     except (GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else DomCache(args.cache_dir)
-    cached = cache.lookup(graph) if cache else None
     if cached is not None:
         print(f"value {cached}")
         print("witness cached")

@@ -20,9 +20,10 @@ Masks past a warmup of sequential exact evaluations are built in numpy
 chunks, and those that provably cannot beat the incumbent are discarded
 in bulk:
 
-  * when the number of vertex subsets of size <= incumbent is small, a
-    vectorized pass marks every orientation dominated by one of them
-    (exact test: survivors have gamma > incumbent);
+  * dominating sets are upward closed, so gamma <= incumbent iff some
+    vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
+    <= _SUBSET_BUDGET, one vectorized pass per such subset drops every
+    orientation it dominates (exact test: survivors have gamma > incumbent);
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
 
@@ -72,10 +73,6 @@ def _exact_gamma(n, edges, mask, cutoff):
     return value
 
 
-def _subset_passes(n, cap):
-    return sum(math.comb(n, k) for k in range(1, cap + 1))
-
-
 def _closed_out_rows(n, edges, start, width):
     """rows[v][j]: closed out-neighbourhood bitset of v under mask start + j."""
     one = np.uint64(1)
@@ -93,19 +90,19 @@ def _closed_out_rows(n, edges, start, width):
 def _drop_covered(rows, alive, n, cap):
     """Drop the orientations (columns of rows) that certainly have gamma <= cap."""
     full = np.uint64((1 << n) - 1)
-    if cap >= 1 and _subset_passes(n, cap) <= _SUBSET_BUDGET:
-        # exact filter: survivors are precisely gamma > cap
-        for size in range(1, cap + 1):
-            for subset in combinations(range(n), size):
-                cover = rows[subset[0]]
-                for v in subset[1:]:
-                    cover = cover | rows[v]
-                keep = cover != full
-                if not keep.all():
-                    alive = alive[keep]
-                    rows = rows[:, keep]
-                if alive.size == 0:
-                    return rows, alive
+    # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
+    if cap >= 1 and math.comb(n, cap) <= _SUBSET_BUDGET:
+        # exact filter (upward closure): survivors are precisely gamma > cap
+        for subset in combinations(range(n), cap):
+            cover = rows[subset[0]]
+            for v in subset[1:]:
+                cover = cover | rows[v]
+            keep = cover != full
+            if not keep.all():
+                alive = alive[keep]
+                rows = rows[:, keep]
+            if alive.size == 0:
+                return rows, alive
     elif cap >= 1:
         # greedy cover for `cap` rounds; covered implies gamma <= cap
         cover = np.zeros(alive.size, dtype=np.uint64)

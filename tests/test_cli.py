@@ -205,6 +205,23 @@ def test_print_cases_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_unusable_cache_dir_is_usage_error_before_the_scan(tmp_path, capsys, monkeypatch):
+    graph_file = tmp_path / "g.ug"
+    graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("", encoding="utf-8")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr("oridom.domsearch.dom", no_scan)
+    for cache_dir in (not_a_dir, not_a_dir / "sub"):
+        assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.ug"
     bad.write_text("ug x y\n", encoding="utf-8")

@@ -3,13 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_gamma, brute_rho
 import oridom
-from oridom.domsearch import Solver, dom
+from oridom import domsearch
+from oridom.domsearch import Solver, _closed_out_rows, _drop_covered, dom
 from oridom.graphs import (
     CapExceeded,
     Orientation,
@@ -296,6 +298,16 @@ def test_dom_refilter_keeps_later_survivors():
     assert tally["exact_evals"] <= 300  # 2,991 without the refilter, 18,965 without both
 
 
+def test_dom_closed_sandwich_stops_at_first_exact_survivor():
+    # K_{1,1,8}: alpha = n - nu = 8; past the 256-mask warmup the exact
+    # filter's first survivor already attains the ceiling, so it is the stop
+    # (a greedy cover let 14 more masks through: 271 exact evals)
+    result = dom(multipartite(1, 1, 8))
+    assert (result.value, result.witness.bits, result.nodes_explored) == (8, 65278, 65279)
+    assert result.pruned_by["exact_evals"] == 257
+    assert result.pruned_by["ceiling_stop"] == 1
+
+
 @st.composite
 def chunked_graphs(draw):
     # 9-11 edges: more than 256 orientations, so the vectorized phase runs
@@ -320,6 +332,22 @@ def test_dom_witness_matches_unfiltered_scan(G):
     result = dom(G)
     assert (result.value, result.witness.bits) == (best_val, best_bits)
     assert result.value >= independence_number(G)
+
+
+@given(chunked_graphs())
+@settings(max_examples=15, deadline=None)
+def test_drop_covered_is_exact_within_budget_and_sound_beyond(G):
+    n, width = G.n, 1 << G.m
+    rows = _closed_out_rows(n, G.edges, 0, width)
+    gammas = np.array([gamma(Orientation(G, bits).to_digraph()).value for bits in range(width)])
+    for cap in range(1, n - 1):
+        _, alive = _drop_covered(rows, np.arange(width), n, cap)
+        assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_SUBSET_BUDGET", 0)  # force the greedy cover
+            _, alive = _drop_covered(rows, np.arange(width), n, cap)
+        dropped = np.setdiff1d(np.arange(width), alive)
+        assert (gammas[dropped] <= cap).all()
 
 
 @given(
