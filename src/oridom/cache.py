@@ -1,8 +1,15 @@
 """DOM result cache keyed by the labeled graph (not its isomorphism class).
 
 Relabeling an isomorphic graph therefore misses on purpose. The cache file
-is line-oriented ``hash<TAB>value<TAB>solver-version``; corrupt lines are
-skipped with a warning, never fatal.
+is line-oriented ``hash<TAB>value<TAB>solver-version``; the last line for a
+key and version wins, and corrupt lines are skipped with a warning, never
+fatal.
+
+Lookups are answered from an in-process index of the whole file. The index
+is trusted while the file's device, inode, size and modification time are
+unchanged; any other state of the file is read again in full, so a corrupt
+line warns once each time a changed file is re-read, not on every lookup.
+oridom's writers only append, and every append changes the size.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ from .graphs import UndirectedGraph
 CACHE_ENV = "ORIDOM_CACHE_DIR"
 _FILENAME = "dom-cache.tsv"
 
+# (path, signature, {(key, version): value}) of the last file read. It is held
+# by the module because the CLI makes a new DomCache for every command.
+_index: tuple[Path, tuple[int, int, int, int], dict[tuple[str, str], int]] | None = None
+
 
 def default_cache_dir() -> Path:
     override = os.environ.get(CACHE_ENV)
@@ -31,30 +42,66 @@ def graph_key(G: UndirectedGraph) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
+def _signature(path: Path) -> tuple[int, int, int, int] | None:
+    """The file's (device, inode, size, mtime_ns), or None if it does not exist."""
+    try:
+        st = os.stat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _read_index(path: Path) -> dict[tuple[str, str], int]:
+    index = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            # isdecimal, unlike isdigit, admits only what int() accepts
+            if len(fields) != 3 or not fields[1].removeprefix("-").isdecimal():
+                warnings.warn(f"skipping corrupt cache line {lineno}: {line!r}", stacklevel=3)
+                continue
+            index[fields[0], fields[2]] = int(fields[1])
+    return index
+
+
 class DomCache:
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
         self.path = self.directory / _FILENAME
 
     def lookup(self, G: UndirectedGraph) -> int | None:
-        if not self.path.exists():
+        global _index
+        # stat before reading: a line appended in between leaves the index
+        # with an older signature, so the next lookup reads the file again
+        signature = _signature(self.path)
+        if signature is None:
             return None
-        key = graph_key(G)
-        hit = None
-        with open(self.path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3 or not fields[1].lstrip("-").isdigit():
-                    warnings.warn(f"skipping corrupt cache line {lineno}: {line!r}", stacklevel=2)
-                    continue
-                if fields[0] == key and fields[2] == SOLVER_VERSION:
-                    hit = int(fields[1])
-        return hit
+        if _index is None or _index[:2] != (self.path, signature):
+            _index = (self.path, signature, _read_index(self.path))
+        return _index[2].get((graph_key(G), SOLVER_VERSION))
 
     def store(self, G: UndirectedGraph, value: int) -> None:
+        global _index
         self.directory.mkdir(parents=True, exist_ok=True)
+        key = graph_key(G)
+        line = f"{key}\t{value}\t{SOLVER_VERSION}\n"
+        before = _signature(self.path)
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(f"{graph_key(G)}\t{value}\t{SOLVER_VERSION}\n")
+            handle.write(line)
+        after = _signature(self.path)
+        # the index takes the new line only if nothing else touched the file
+        # between the two stats; otherwise the next lookup reads it again
+        if (
+            _index is not None
+            and _index[:2] == (self.path, before)
+            and after is not None
+            and after[:2] == before[:2]
+            and after[2] == before[2] + len(line.encode("utf-8"))
+        ):
+            _index[2][key, SOLVER_VERSION] = value
+            _index = (self.path, after, _index[2])
+        else:
+            _index = None

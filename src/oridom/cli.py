@@ -9,6 +9,7 @@ skipped, 1 any failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cache import DomCache
@@ -212,6 +213,7 @@ def _cmd_props(args) -> int:
     return _print_cases(cases, args.porcelain)
 
 
+@functools.cache  # parse_args never changes the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,

@@ -2,15 +2,14 @@
 
 All randomness flows through ``random.Random`` seeded with a string key,
 so every corpus is reproducible across runs and platforms. Trees are
-enumerated exhaustively up to isomorphism by decoding every Prufer
-sequence and deduplicating with a rooted canonical encoding.
+enumerated exhaustively up to isomorphism by adding a leaf to every tree
+on one vertex fewer and deduplicating with a rooted canonical encoding.
 """
 
 from __future__ import annotations
 
 import random
-from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 
 from .graphs import UndirectedGraph, build_graph
 
@@ -80,24 +79,6 @@ def multipartite_instances(max_edges: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def _prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heappush(leaves, x)
-    u, v = heappop(leaves), heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
-
-
 def _tree_canon(n: int, edges: list[tuple[int, int]]) -> str:
     """Canonical encoding of an unrooted tree: root at its center(s)."""
     if n == 1:
@@ -139,12 +120,12 @@ def all_trees(n: int) -> list[UndirectedGraph]:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return [build_graph(1, [])]
-    if n == 2:
-        return [build_graph(2, [(0, 1)])]
+    # every tree on n vertices is a tree on n - 1 vertices plus a leaf
     seen: dict[str, UndirectedGraph] = {}
-    for seq in product(range(n), repeat=n - 2):
-        edges = _prufer_decode(seq, n)
-        key = _tree_canon(n, edges)
-        if key not in seen:
-            seen[key] = build_graph(n, edges)
+    for T in all_trees(n - 1):
+        for v in range(n - 1):
+            edges = [*T.edges, (v, n - 1)]
+            key = _tree_canon(n, edges)
+            if key not in seen:
+                seen[key] = build_graph(n, edges)
     return list(seen.values())

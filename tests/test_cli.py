@@ -1,8 +1,16 @@
+import builtins
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
+import oridom
 from oridom import cache as cache_mod
 from oridom.cache import DomCache, graph_key
-from oridom.cli import main
+from oridom.cli import build_parser, main
 from oridom.exprs import ExprError, parse_graph_expr
 from oridom.graphs import build_graph, complete, cycle, multipartite, path
 from oridom.io import format_graph, parse_digraph, parse_graph
@@ -229,3 +237,160 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["dom", "--graph", str(tmp_path / "missing.ug")]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    target = tmp_path / "g.ug"
+    target.write_text(format_graph(cycle(5)), encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+    assert main(["dom", "--graph", str(target), "--cache-dir", str(cache_dir),
+                 "--stats", "--no-cache"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 3
+    assert not cache_dir.exists()
+    # neither --stats nor --no-cache survives into the next call
+    assert main(["dom", "--graph", str(target), "--cache-dir", str(cache_dir)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert DomCache(cache_dir).lookup(cycle(5)) is not None
+
+
+def test_shared_parser_keeps_usage_errors_and_help(capsys):
+    fresh = build_parser.__wrapped__()
+    with pytest.raises(SystemExit):
+        fresh.error("argument --workers: must be >= 1, got 0")
+    expected = capsys.readouterr().err
+    assert main(["verify", "counterexample", "--porcelain"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "counterexample", "--workers", "0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == expected
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["dom", "--help"])
+        assert exc.value.code == 0
+        assert "--no-cache" in capsys.readouterr().out
+
+
+def _line(G, value):
+    return f"{graph_key(G)}\t{value}\t{cache_mod.SOLVER_VERSION}\n"
+
+
+def test_cache_index_sees_every_change_to_the_file(tmp_path):
+    cache = DomCache(tmp_path)
+    G, H = path(3), path(4)
+    cache.store(G, 2)
+    assert cache.lookup(G) == 2 and cache.lookup(H) is None
+    # the modification time is put back each time, as on a file system with a
+    # coarse clock, so only the size tells the index that the file changed
+    mtime = cache.path.stat().st_mtime_ns
+    with open(cache.path, "a", encoding="utf-8") as handle:  # not through store
+        handle.write(_line(H, 3))
+    os.utime(cache.path, ns=(mtime, mtime))
+    assert cache.lookup(H) == 3
+    with open(cache.path, "w", encoding="utf-8") as handle:  # same inode, new length
+        handle.write(_line(G, 12) + _line(H, 3))
+    os.utime(cache.path, ns=(mtime, mtime))
+    assert cache.lookup(G) == 12
+    cache.path.unlink()
+    assert cache.lookup(G) is None and cache.lookup(H) is None
+
+
+
+def test_cache_store_keeps_lines_other_writers_append(tmp_path, monkeypatch):
+    cache = DomCache(tmp_path)
+    G, H, K, L, M = path(3), path(4), path(5), path(6), path(7)
+    cache.store(G, 2)
+    assert cache.lookup(G) == 2
+    with open(cache.path, "a", encoding="utf-8") as handle:  # before store's first stat
+        handle.write(_line(H, 3))
+    cache.store(K, 3)
+    assert cache.lookup(H) == 3 and cache.lookup(K) == 3
+
+    def racing_open(file, mode="r", *args, **kwargs):  # appends between store's two stats
+        if "a" in mode:
+            with builtins.open(file, "a", encoding="utf-8") as other:
+                other.write(_line(L, 4))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "open", racing_open, raising=False)
+    cache.store(M, 4)
+    monkeypatch.undo()
+    assert cache.lookup(L) == 4 and cache.lookup(M) == 4
+
+def test_cache_corrupt_line_after_warm_index_warns_once_per_read(tmp_path):
+    cache = DomCache(tmp_path)
+    G = path(3)
+    cache.store(G, 2)
+    assert cache.lookup(G) == 2
+    with open(cache.path, "a", encoding="utf-8") as handle:
+        handle.write("not a valid line\n")
+        handle.write(_line(G, "\u00b2"))  # a digit that int() rejects
+    with pytest.warns(UserWarning, match="corrupt cache line") as record:
+        assert cache.lookup(G) == 2
+    assert len(record) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.lookup(G) == 2  # unchanged file: no second read, no warning
+
+
+def test_cache_reads_an_unchanged_file_at_most_once(tmp_path, monkeypatch):
+    cache = DomCache(tmp_path)
+    G = path(5)
+    cache.store(G, 3)
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(file)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "open", counting_open, raising=False)
+    assert all(cache.lookup(G) == 3 for _ in range(100))
+    assert len(reads) <= 1
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+from oridom.cache import DomCache
+from oridom.graphs import path
+
+directory, first, go = sys.argv[1], int(sys.argv[2]), Path(sys.argv[3])
+deadline = time.monotonic() + 60
+while not go.exists():
+    if time.monotonic() > deadline:
+        sys.exit("no start signal")
+    time.sleep(0.001)
+cache = DomCache(directory)
+for k in range(first, first + 200):
+    if cache.lookup(path(k)) is not None:
+        sys.exit(f"path({k}) hit before its store")
+    cache.store(path(k), k)
+    if cache.lookup(path(k)) != k:
+        sys.exit(f"path({k}) missed after its store")
+"""
+
+
+def test_two_concurrent_writers_share_one_cache(tmp_path):
+    src = str(Path(oridom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    go = tmp_path / "go"
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path / "cache"), str(first), str(go)],
+                         env=env, stderr=subprocess.PIPE, text=True)
+        for first in (1, 201)
+    ]
+    go.touch()
+    for writer in writers:
+        _, err = writer.communicate(timeout=120)
+        assert writer.returncode == 0, err
+    cache = DomCache(tmp_path / "cache")
+    lines = cache.path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 400
+    for line in lines:
+        key, value, version = line.split("\t")
+        assert len(key) == 64 and int(value) >= 1 and version == cache_mod.SOLVER_VERSION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [cache.lookup(path(k)) for k in range(1, 401)] == list(range(1, 401))

@@ -1,4 +1,5 @@
 from oridom.corpus import (
+    _tree_canon,
     all_trees,
     multipartite_instances,
     prism_corpus,
@@ -13,8 +14,10 @@ def test_tree_counts_up_to_isomorphism():
 
 
 def test_trees_are_trees():
-    for n in range(2, 8):
-        for T in all_trees(n):
+    for n in range(1, 9):
+        trees = all_trees(n)
+        assert len({_tree_canon(n, list(T.edges)) for T in trees}) == len(trees)
+        for T in trees:
             assert T.n == n and T.m == n - 1
             assert is_bipartite(T)[0]
             # connected: BFS from 0 reaches everything
