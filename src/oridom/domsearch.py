@@ -16,9 +16,15 @@ The n - nu ceiling: the scan stops at the first mask whose gamma reaches
 n - matching_number. On a bipartite graph this equals alpha (Konig), so
 there the scan ends at the first mask attaining the floor.
 
-Masks past a warmup of sequential exact evaluations are built in numpy
-chunks, and those that provably cannot beat the incumbent are discarded
-in bulk:
+Masks are built in numpy chunks whose widths double from 1 (1, 1, 2, 4,
+..., up to _CHUNK), so every chunk start is a multiple of its width and a
+scan that stops early builds few masks. One row buffer serves every
+chunk: its column j holds the closed out-rows of mask base ^ j, and
+flipping edge (u, v) is one XOR on row u and one on row v, since in a
+simple graph no other edge sets those bits. The buffer grows by copying
+its columns and flipping the next edge on the copy, and is rebased to
+each chunk start by flipping the edges set in base ^ start. Masks that
+provably cannot beat the incumbent are discarded in bulk:
 
   * dominating sets are upward closed, so gamma <= incumbent iff some
     vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
@@ -49,13 +55,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import CapExceeded, Orientation, UndirectedGraph, induced_subgraph
+from .graphs import CapExceeded, Orientation, UndirectedGraph, _iter_bits, induced_subgraph
 from .invariants import independence_number, matching_number
 from .orientations import DEFAULT_EDGE_CAP
 from .solvers import DomResult, _gamma_engine
 
 SOLVER_VERSION = "1"
-_WARMUP = 256
 _CHUNK = 1 << 16
 _SUBSET_BUDGET = 800
 
@@ -73,18 +78,35 @@ def _exact_gamma(n, edges, mask, cutoff):
     return value
 
 
-def _closed_out_rows(n, edges, start, width):
-    """rows[v][j]: closed out-neighbourhood bitset of v under mask start + j."""
-    one = np.uint64(1)
-    masks = np.arange(start, start + width, dtype=np.uint64)
-    rows = np.empty((n, width), dtype=np.uint64)
-    for v in range(n):
-        rows[v] = one << np.uint64(v)
-    for e, (u, v) in enumerate(edges):
-        bit = (masks >> np.uint64(e)) & one
-        rows[u] |= (bit ^ one) << np.uint64(v)
-        rows[v] |= bit << np.uint64(u)
-    return rows
+def _chunk_rows(n, edges, stop):
+    """Yield (pos, rows) over [0, stop): rows[v][j] is v's closed out-row under mask pos + j.
+
+    rows is a view of one buffer, overwritten by the next step.
+    """
+    rows = np.empty((n, min(_CHUNK, stop)), dtype=np.uint64)
+    out = [1 << v for v in range(n)]
+    for u, v in edges:
+        out[u] |= 1 << v
+    rows[:, 0] = np.array(out, dtype=np.uint64)
+    base = pos = 0
+    filled = 1
+
+    def flip(e, cols):
+        u, v = edges[e]
+        rows[u, cols] ^= np.uint64(1 << v)
+        rows[v, cols] ^= np.uint64(1 << u)
+
+    while pos < stop:
+        width = min(_CHUNK, stop - pos, max(1, pos))
+        while filled < width:
+            rows[:, filled : 2 * filled] = rows[:, :filled]
+            flip(filled.bit_length() - 1, slice(filled, 2 * filled))
+            filled *= 2
+        for e in _iter_bits(base ^ pos):
+            flip(e, slice(0, filled))
+        base = pos
+        yield pos, rows[:, :width]
+        pos += width
 
 
 def _drop_covered(rows, alive, n, cap):
@@ -135,54 +157,30 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     explored = 0
     tallies = {"vector_filtered": 0, "exact_evals": 0, "ceiling_stop": 0}
 
-    def improve(mask, value):
-        nonlocal best_val, best_mask
-        if value > best_val:
-            best_val = value
-            best_mask = mask
-        if best_val >= ceiling:
-            tallies["ceiling_stop"] = 1
-            return True
-        return False
-
-    pos = 0
-    warm_stop = min(stop, _WARMUP)
-    while pos < warm_stop:
-        value = _exact_gamma(n, edges, pos, best_val)
-        tallies["exact_evals"] += 1
-        explored += 1
-        if improve(pos, value):
-            return best_val, best_mask, explored, tallies
-        pos += 1
-
-    while pos < stop:
-        width = min(_CHUNK, stop - pos)
-        cap = best_val
-        # no name holds the chunk's rows, so the filter frees them as it compresses
-        rows, alive = _drop_covered(
-            _closed_out_rows(n, edges, pos, width), np.arange(width), n, cap
-        )
+    for pos, rows in _chunk_rows(n, edges, stop):
+        width = rows.shape[1]
+        rows, alive = _drop_covered(rows, np.arange(width), n, best_val)
         evaluated = i = 0
         while i < alive.size:
             offset = int(alive[i])
             i += 1
             evaluated += 1
             mask = pos + offset
-            value = _exact_gamma(n, edges, mask, cap)
+            value = _exact_gamma(n, edges, mask, best_val)
             tallies["exact_evals"] += 1
-            if value > cap:
-                if improve(mask, value):
+            if value > best_val:
+                best_val, best_mask = value, mask
+                if best_val >= ceiling:
                     # masks after the stopping one are neither filtered nor evaluated
+                    tallies["ceiling_stop"] = 1
                     tallies["vector_filtered"] += offset + 1 - evaluated
                     explored += offset + 1
                     return best_val, best_mask, explored, tallies
-                # the later survivors passed the filter at the old cap
-                cap = best_val
-                rows, alive = _drop_covered(rows[:, i:], alive[i:], n, cap)
+                # the later survivors passed the filter at the old incumbent
+                rows, alive = _drop_covered(rows[:, i:], alive[i:], n, best_val)
                 i = 0
         tallies["vector_filtered"] += width - evaluated
         explored += width
-        pos += width
 
     return best_val, best_mask, explored, tallies
 

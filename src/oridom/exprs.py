@@ -73,7 +73,10 @@ class _Parser:
             self._expect(",")
             right = self._expr()
             self._expect(")")
-            return _OPS[name](left, right)
+            try:
+                return _OPS[name](left, right)
+            except ValueError as exc:  # the product is over the size cap
+                raise ExprError(str(exc)) from None
         self._expect(":")
         params = [str(self._int())]
         self._skip_ws()

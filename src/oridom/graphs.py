@@ -17,6 +17,15 @@ class CapExceeded(RuntimeError):
     """A search was refused because the instance exceeds its size cap."""
 
 
+SIZE_CAP = 10_000  # most vertices, and most edges, a parser, family or product builds
+
+
+def check_size(n: int, m: int) -> None:
+    """Refuse a graph with over SIZE_CAP vertices or edges before it is built."""
+    if n > SIZE_CAP or m > SIZE_CAP:
+        raise ValueError(f"graph too large: {n} vertices, {m} edges (cap {SIZE_CAP} each)")
+
+
 def _iter_bits(mask: int):
     """Yield set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -159,24 +168,28 @@ def build_digraph(n, arcs) -> Digraph:
 def path(n: int) -> UndirectedGraph:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
+    check_size(n, n - 1)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> UndirectedGraph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
+    check_size(n, n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> UndirectedGraph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
+    check_size(n, n * (n - 1) // 2)
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def empty(n: int) -> UndirectedGraph:
     if n < 1:
         raise ValueError(f"empty graph needs n >= 1, got {n}")
+    check_size(n, 0)
     return build_graph(n, [])
 
 
@@ -186,6 +199,7 @@ def multipartite(*sizes: int) -> UndirectedGraph:
         raise ValueError(f"multipartite needs at least 2 parts, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive: {sizes}")
+    check_size(sum(sizes), (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2)
     if list(sizes) != sorted(sizes):
         warnings.warn(f"part sizes {sizes} not ascending; sorting", stacklevel=2)
         sizes = tuple(sorted(sizes))

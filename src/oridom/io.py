@@ -9,7 +9,7 @@ mismatches, and range violations with line-numbered errors.
 
 from __future__ import annotations
 
-from .graphs import Digraph, UndirectedGraph, build_digraph, build_graph
+from .graphs import Digraph, UndirectedGraph, build_digraph, build_graph, check_size
 
 
 class GraphFormatError(ValueError):
@@ -55,6 +55,10 @@ def _parse_header(lines, tag):
         n, m = int(fields[1]), int(fields[2])
     except ValueError:
         raise GraphFormatError(f"line 1: non-integer counts in header {lines[0]!r}") from None
+    try:
+        check_size(n, m)
+    except ValueError as exc:
+        raise GraphFormatError(f"line 1: {exc}") from None
     return n, m
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import UndirectedGraph, build_graph
+from .graphs import UndirectedGraph, build_graph, check_size
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class BlockMap:
 
 def cartesian(G: UndirectedGraph, H: UndirectedGraph):
     """(u,v) ~ (x,y) iff u=x and vy in E(H), or v=y and ux in E(G)."""
+    check_size(G.n * H.n, G.n * H.m + G.m * H.n)
     vmap = ProductVertexMap(G.n, H.n)
     edges = []
     for g in range(G.n):
@@ -54,6 +55,7 @@ def cartesian(G: UndirectedGraph, H: UndirectedGraph):
 
 def lexicographic(G: UndirectedGraph, H: UndirectedGraph):
     """(x,y) ~ (u,v) iff xu in E(G), or x=u and yv in E(H)."""
+    check_size(G.n * H.n, G.n * H.m + G.m * H.n * H.n)
     vmap = ProductVertexMap(G.n, H.n)
     edges = []
     for g in range(G.n):
@@ -93,6 +95,7 @@ def corona(G: UndirectedGraph, H: UndirectedGraph):
     G keeps ids 0..n(G)-1; the copy for u occupies the block starting at
     n(G) + u*n(H).
     """
+    check_size(G.n * (1 + H.n), G.m + G.n * (H.m + H.n))
     blocks = BlockMap(tuple((G.n + u * H.n, H.n) for u in range(G.n)))
     edges = list(G.edges)
     for u in range(G.n):
@@ -106,6 +109,7 @@ def corona(G: UndirectedGraph, H: UndirectedGraph):
 
 def join(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
     """Disjoint union plus all cross edges; H is shifted by n(G)."""
+    check_size(G.n + H.n, G.m + H.m + G.n * H.n)
     edges = list(G.edges)
     for a, b in H.edges:
         edges.append((G.n + a, G.n + b))

@@ -42,6 +42,18 @@ def test_expr_parser_rejects_non_ascii_digits_and_deep_nesting():
         parse_graph_expr("cart(" * 3000 + "path:1" + ",path:1)" * 3000)
 
 
+def test_sizes_over_cap_are_usage_errors(tmp_path, capsys):
+    for expr in ("empty:10000000000", "lex(complete:100,complete:100)", "multi:99999,99999"):
+        assert main(["construct", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph too large") and err.count("\n") == 1
+    target = tmp_path / "big.ug"
+    target.write_text("ug 10000000000 0\n")
+    assert main(["dom", "--graph", str(target), "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: graph too large") and err.count("\n") == 1
+
+
 def test_construct_non_ascii_digit_is_usage_error(capsys):
     assert main(["construct", "path:²"]) == 2
     assert capsys.readouterr().err.startswith("error: expected an integer")

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oridom.graphs import (
+    SIZE_CAP,
     Orientation,
     build_digraph,
     build_graph,
@@ -89,6 +90,18 @@ def test_family_descriptors():
         family("wheel:5")
     with pytest.raises(ValueError):
         family("path")
+
+
+def test_families_refuse_graphs_over_size_cap():
+    # complete:141 has 9,870 edges and multi:50,200 exactly 10,000
+    for text in (f"path:{SIZE_CAP}", f"cycle:{SIZE_CAP}", f"empty:{SIZE_CAP}", "complete:141",
+                 "multi:50,200", f"multi:1,{SIZE_CAP - 1}"):
+        assert max(family(text).n, family(text).m) <= SIZE_CAP
+    for text in (f"path:{SIZE_CAP + 1}", f"cycle:{SIZE_CAP + 1}", f"empty:{SIZE_CAP + 1}",
+                 "complete:142", "multi:50,201", "multi:5000,5000", f"multi:1,{SIZE_CAP}",
+                 "empty:10000000000"):
+        with pytest.raises(ValueError, match="graph too large"):
+            family(text)
 
 
 def test_digraph_validation():

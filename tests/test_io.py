@@ -1,6 +1,6 @@
 import pytest
 
-from oridom.graphs import Orientation, cycle, multipartite
+from oridom.graphs import SIZE_CAP, Orientation, cycle, multipartite
 from oridom.io import (
     GraphFormatError,
     format_digraph,
@@ -25,6 +25,15 @@ def test_graph_format_example():
     G = parse_graph(text)
     assert G.n == 3 and G.edges == ((0, 1), (1, 2))
     assert format_graph(G) == text
+
+
+def test_header_over_size_cap_is_format_error():
+    assert parse_graph(f"ug {SIZE_CAP} 0").n == SIZE_CAP
+    for text in (f"ug {SIZE_CAP + 1} 0", f"ug 5 {SIZE_CAP + 1}", "ug 10000000000 0",
+                 "dg 99999999999999999999 0", f"dg 3 {SIZE_CAP + 1}"):
+        parse = parse_graph if text.startswith("ug") else parse_digraph
+        with pytest.raises(GraphFormatError, match="^line 1: graph too large"):
+            parse(text)
 
 
 def test_bad_header():

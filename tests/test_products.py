@@ -70,6 +70,22 @@ def test_corona_examples():
     assert remapped == list(joined.edges)
 
 
+def test_products_refuse_results_over_size_cap():
+    # each pair is checked by vertex count or edge count before any edge is built
+    big = path(100)
+    for product, G, H in (
+        (cartesian, big, path(101)),  # 10,100 vertices
+        (cartesian, big, path(100)),  # 10,000 vertices but 19,800 edges
+        (lexicographic, path(50), complete(20)),  # 1,000 vertices, 29,100 edges
+        (corona, big, empty(100)),  # 10,100 vertices
+        (join, empty(100), empty(101)),  # 10,100 cross edges
+    ):
+        with pytest.raises(ValueError, match="graph too large"):
+            product(G, H)
+    assert corona(big, empty(99))[0].n == 10_000
+    assert join(empty(100), empty(100)).m == 10_000
+
+
 def test_join_examples():
     c4 = join(empty(2), empty(2))
     assert c4.n == 4 and c4.m == 4

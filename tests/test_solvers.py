@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from brute import brute_gamma, brute_rho
 import oridom
 from oridom import domsearch
-from oridom.domsearch import Solver, _closed_out_rows, _drop_covered, dom
+from oridom.domsearch import Solver, _chunk_rows, _drop_covered, dom
 from oridom.graphs import (
     CapExceeded,
     Orientation,
@@ -214,6 +214,7 @@ def test_dom_matches_unfiltered_full_scan():
 
 
 def test_dom_ceiling_stop_in_warmup():
+    # K_{1,9} stops in the 128-mask chunk [128, 256), among the narrow early chunks
     from oridom.graphs import multipartite
 
     G = multipartite(1, 9)
@@ -229,7 +230,7 @@ def test_dom_ceiling_stop_in_warmup():
 
 def test_dom_ceiling_stop_in_vectorized_phase():
     # K_{2,9} is bipartite with independence number 9; the first orientation
-    # attaining 9 sits deep inside the scan, past the sequential warmup
+    # attaining 9 sits deep inside the scan, in a full-width chunk
     from oridom.graphs import multipartite
 
     G = multipartite(2, 9)
@@ -271,7 +272,7 @@ def test_dom_smallest_witness_bitmask():
 
 def test_dom_alpha_floor_and_refilter():
     # K_{2,2,3}: alpha = DOM = 3 < n - nu = 4, so the scan runs to the end;
-    # the first orientation attaining 3 sits past the sequential warmup
+    # the first orientation attaining 3 is mask 396, in the chunk [256, 512)
     G = multipartite(2, 2, 3)
     result = dom(G)
     assert result.value == 3 == dom_oracle(G)
@@ -286,8 +287,9 @@ def test_dom_alpha_floor_and_refilter():
 
 def test_dom_refilter_keeps_later_survivors():
     # K_{1,2,4} plus a disjoint triangle: the incumbent rises to 5 at mask 7644
-    # and to 6 at mask 40412, both in the first numpy chunk, so the second
-    # witness is one of the survivors refiltered after the first rise
+    # and to 6 at mask 40412. The test still passes with doubling widths, but
+    # the rises now fall in different chunks, [4096, 8192) and [32768, 65536),
+    # so the second witness survives a fresh chunk filter, not a refilter
     G = build_graph(10, [*multipartite(1, 2, 4).edges, (7, 8), (7, 9), (8, 9)])
     result = dom(G)
     assert result.value == 6
@@ -295,16 +297,17 @@ def test_dom_refilter_keeps_later_survivors():
     assert all(gamma(Orientation(G, bits).to_digraph()).value < 6 for bits in range(40412))
     tally = result.pruned_by
     assert result.nodes_explored == 40413 == tally["vector_filtered"] + tally["exact_evals"]
-    assert tally["exact_evals"] <= 300  # 2,991 without the refilter, 18,965 without both
+    # the refilter after the rise at 7644 drops the rest of that chunk's survivors
+    assert tally["exact_evals"] == 2  # 101 without the refilter
 
 
 def test_dom_closed_sandwich_stops_at_first_exact_survivor():
-    # K_{1,1,8}: alpha = n - nu = 8; past the 256-mask warmup the exact
-    # filter's first survivor already attains the ceiling, so it is the stop
-    # (a greedy cover let 14 more masks through: 271 exact evals)
+    # K_{1,1,8}: alpha = n - nu = 8; the exact filter lets no mask through
+    # before mask 65278, and that first survivor attains the ceiling, so it is
+    # the one exact evaluation and the stop
     result = dom(multipartite(1, 1, 8))
     assert (result.value, result.witness.bits, result.nodes_explored) == (8, 65278, 65279)
-    assert result.pruned_by["exact_evals"] == 257
+    assert result.pruned_by["exact_evals"] == 1
     assert result.pruned_by["ceiling_stop"] == 1
 
 
@@ -334,12 +337,51 @@ def test_dom_witness_matches_unfiltered_scan(G):
     assert result.value >= independence_number(G)
 
 
+def _reference_rows(digraphs, n):
+    # rows[v][j]: closed out-neighbourhood of v in digraphs[j], read off the digraph
+    return np.array([[D.closed_out(v) for D in digraphs] for v in range(n)], dtype=np.uint64)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = draw(st.integers(1, min(10, len(pairs))))
+    return build_graph(n, draw(st.lists(st.sampled_from(pairs), min_size=m, max_size=m, unique=True)))
+
+
+@given(small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
+    # narrow chunks grow and rebase the row buffer many times, with rebases
+    # that flip several edges at once (pos 8 -> 16 flips edges 3 and 4)
+    stop = 1 << G.m
+    reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
+    default = dom(G)
+    for chunk in (1, 2, 4, 8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_CHUNK", chunk)
+            covered = 0
+            for pos, rows in _chunk_rows(G.n, G.edges, stop):
+                assert pos == covered and rows.shape[1] == min(chunk, max(1, pos))
+                assert (rows == reference[:, pos : pos + rows.shape[1]]).all()
+                covered += rows.shape[1]
+            assert covered == stop
+            result = dom(G)
+        assert (result.value, result.witness.bits, result.nodes_explored) == (
+            default.value, default.witness.bits, default.nodes_explored
+        )
+        tally = result.pruned_by
+        assert result.nodes_explored == tally["vector_filtered"] + tally["exact_evals"]
+
+
 @given(chunked_graphs())
 @settings(max_examples=15, deadline=None)
 def test_drop_covered_is_exact_within_budget_and_sound_beyond(G):
     n, width = G.n, 1 << G.m
-    rows = _closed_out_rows(n, G.edges, 0, width)
-    gammas = np.array([gamma(Orientation(G, bits).to_digraph()).value for bits in range(width)])
+    digraphs = [Orientation(G, bits).to_digraph() for bits in range(width)]
+    rows = _reference_rows(digraphs, n)
+    gammas = np.array([gamma(D).value for D in digraphs])
     for cap in range(1, n - 1):
         _, alive = _drop_covered(rows, np.arange(width), n, cap)
         assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
