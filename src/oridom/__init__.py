@@ -55,7 +55,6 @@ from .orientations import (
     acyclic_lex_cycle_orientation,
     cartesian_orientation,
     corona_orientation,
-    enumerate_orientations,
     k3_box_k3_orientation,
     k222_orientation,
     lex_orientation,

@@ -34,13 +34,15 @@ provably cannot beat the incumbent are discarded in bulk:
     certifies gamma <= incumbent for everything it covers.
 
 Survivors get an exact branch-and-bound gamma with the incumbent as
-cutoff. When a survivor raises the incumbent, the chunk's remaining
-survivors passed the filter at the old, lower incumbent, so unless the
-ceiling is reached they are filtered again at the new one before any of
-them gets an exact gamma. The masks the old filter discarded need no
-second pass: they have gamma <= the old incumbent, so they cannot beat
-the new one either. The incumbent rises at most DOM times, so a chunk is
-refiltered at most that often.
+cutoff, and the first survivor that raises the incumbent ends its chunk.
+Reversing one arc changes gamma by at most 1: if S dominates D, then S
+plus the reversed arc's new tail dominates the result. A chunk [pos,
+pos + w) with pos > 0 has pos a multiple of its power-of-two width w, so
+clearing the lowest set bit of pos maps each of its masks to a mask
+below pos that differs in one edge. Every gamma in the chunk is thus at
+most the incumbent + 1, the incumbent rises at most once per chunk, and
+the masks after the rise cannot beat it (the width-1 chunk at 0 has one
+mask anyway).
 
 Isolated vertices are forced into every dominating set of every
 orientation; they are stripped before the scan and added back to the
@@ -57,10 +59,10 @@ import numpy as np
 
 from .graphs import CapExceeded, Orientation, UndirectedGraph, _iter_bits, induced_subgraph
 from .invariants import independence_number, matching_number
-from .orientations import DEFAULT_EDGE_CAP
 from .solvers import DomResult, _gamma_engine
 
 SOLVER_VERSION = "1"
+DEFAULT_EDGE_CAP = 22  # dom refuses larger graphs
 _CHUNK = 1 << 16
 _SUBSET_BUDGET = 800
 
@@ -109,8 +111,9 @@ def _chunk_rows(n, edges, stop):
         pos += width
 
 
-def _drop_covered(rows, alive, n, cap):
-    """Drop the orientations (columns of rows) that certainly have gamma <= cap."""
+def _drop_covered(rows, n, cap):
+    """Offsets of the orientations (columns of rows) not certified to have gamma <= cap."""
+    alive = np.arange(rows.shape[1])
     full = np.uint64((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
     if cap >= 1 and math.comb(n, cap) <= _SUBSET_BUDGET:
@@ -124,7 +127,7 @@ def _drop_covered(rows, alive, n, cap):
                 alive = alive[keep]
                 rows = rows[:, keep]
             if alive.size == 0:
-                return rows, alive
+                break
     elif cap >= 1:
         # greedy cover for `cap` rounds; covered implies gamma <= cap
         cover = np.zeros(alive.size, dtype=np.uint64)
@@ -139,7 +142,7 @@ def _drop_covered(rows, alive, n, cap):
                 alive = alive[keep]
                 rows = rows[:, keep]
                 cover = cover[keep]
-    return rows, alive
+    return alive
 
 
 def _scan(G: UndirectedGraph, floor: int, ceiling: int):
@@ -151,37 +154,30 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     the scan stopped at the ceiling, else 0.
     """
     n, edges = G.n, G.edges
-    stop = 1 << G.m
     best_val = floor - 1
     best_mask = -1
-    explored = 0
-    tallies = {"vector_filtered": 0, "exact_evals": 0, "ceiling_stop": 0}
+    explored = exact_evals = ceiling_stop = 0
 
-    for pos, rows in _chunk_rows(n, edges, stop):
-        width = rows.shape[1]
-        rows, alive = _drop_covered(rows, np.arange(width), n, best_val)
-        evaluated = i = 0
-        while i < alive.size:
-            offset = int(alive[i])
-            i += 1
-            evaluated += 1
-            mask = pos + offset
-            value = _exact_gamma(n, edges, mask, best_val)
-            tallies["exact_evals"] += 1
+    for pos, rows in _chunk_rows(n, edges, 1 << G.m):
+        for offset in map(int, _drop_covered(rows, n, best_val)):
+            value = _exact_gamma(n, edges, pos + offset, best_val)
+            exact_evals += 1
             if value > best_val:
-                best_val, best_mask = value, mask
-                if best_val >= ceiling:
-                    # masks after the stopping one are neither filtered nor evaluated
-                    tallies["ceiling_stop"] = 1
-                    tallies["vector_filtered"] += offset + 1 - evaluated
-                    explored += offset + 1
-                    return best_val, best_mask, explored, tallies
-                # the later survivors passed the filter at the old incumbent
-                rows, alive = _drop_covered(rows[:, i:], alive[i:], n, best_val)
-                i = 0
-        tallies["vector_filtered"] += width - evaluated
-        explored += width
+                # the chunk's one rise: no later mask in it can beat the new incumbent
+                best_val, best_mask = value, pos + offset
+                break
+        if best_val >= ceiling:
+            # masks after the stopping one do not count as explored
+            ceiling_stop = 1
+            explored += best_mask - pos + 1
+            break
+        explored += rows.shape[1]
 
+    tallies = {
+        "vector_filtered": explored - exact_evals,
+        "exact_evals": exact_evals,
+        "ceiling_stop": ceiling_stop,
+    }
     return best_val, best_mask, explored, tallies
 
 

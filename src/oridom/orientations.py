@@ -1,4 +1,4 @@
-"""Orientation enumeration and the concrete orientation schemes.
+"""The concrete orientation schemes.
 
 Every scheme builds its arcs by walking the base graph's canonical edge
 list and choosing a direction per edge, so the underlying graph of the
@@ -9,14 +9,12 @@ the DOM solver themselves.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .graphs import (
-    CapExceeded,
     Digraph,
     Orientation,
     UndirectedGraph,
     build_digraph,
+    check_size,
     complete,
     cycle,
     empty,
@@ -24,24 +22,6 @@ from .graphs import (
     path,
 )
 from .products import cartesian, join, lexicographic
-
-DEFAULT_EDGE_CAP = 22  # orientation scans and enumeration refuse larger graphs
-
-
-def enumerate_orientations(
-    G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP
-) -> Iterator[Orientation]:
-    """All orientations of G in increasing bitmask order.
-
-    The cap is validated eagerly, before the first orientation is produced.
-    """
-    if G.m > max_edges:
-        raise CapExceeded(
-            f"orientation enumeration capped at {max_edges} edges, got {G.m}"
-            " (raise max_edges to override)"
-        )
-    return (Orientation(G, bits) for bits in range(1 << G.m))
-
 
 def _same_shape(a: UndirectedGraph, b: UndirectedGraph) -> bool:
     return a.n == b.n and a.edges == b.edges
@@ -145,6 +125,7 @@ def prism_orientation(n: int) -> Digraph:
     """
     if n < 3:
         raise ValueError(f"prism needs a cycle of length >= 3, got {n}")
+    check_size(2 * n, 3 * n)
     arcs = []
     for i in range(n):
         nxt = (i + 1) % n
@@ -196,6 +177,7 @@ def acyclic_lex_cycle_orientation(k: int, s: int) -> Digraph:
     if k < 2 or s < 2:
         raise ValueError(f"need k >= 2 and s >= 2, got k={k}, s={s}")
     verts = 2 * k + 1
+    check_size(verts * s, verts * s * s)
     arcs = []
     for i in range(verts - 1):
         for j in range(s):

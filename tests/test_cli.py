@@ -43,10 +43,19 @@ def test_expr_parser_rejects_non_ascii_digits_and_deep_nesting():
 
 
 def test_sizes_over_cap_are_usage_errors(tmp_path, capsys):
-    for expr in ("empty:10000000000", "lex(complete:100,complete:100)", "multi:99999,99999"):
-        assert main(["construct", expr]) == 2
+    for argv in (
+        ["construct", "empty:10000000000"],
+        ["construct", "lex(complete:100,complete:100)"],
+        ["construct", "multi:99999,99999"],
+        ["orient", "--scheme", "prism", "--params", "n=5001"],
+        ["orient", "--scheme", "acyclic_lex_cycle", "--params", "k=2,s=45"],
+    ):
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: graph too large") and err.count("\n") == 1
+    # 6,666 vertices and 9,999 arcs: at the cap, still built
+    assert main(["orient", "--scheme", "prism", "--params", "n=3333"]) == 0
+    assert capsys.readouterr().out.startswith("dg 6666 9999\n")
     target = tmp_path / "big.ug"
     target.write_text("ug 10000000000 0\n")
     assert main(["dom", "--graph", str(target), "--no-cache"]) == 2

@@ -1,11 +1,7 @@
-from itertools import islice
-
 import pytest
 
 from oridom.graphs import (
-    CapExceeded,
     Orientation,
-    build_graph,
     complete,
     cycle,
     empty,
@@ -18,7 +14,6 @@ from oridom.orientations import (
     acyclic_lex_cycle_orientation,
     cartesian_orientation,
     corona_orientation,
-    enumerate_orientations,
     k3_box_k3_orientation,
     k222_orientation,
     lex_orientation,
@@ -27,28 +22,6 @@ from oridom.orientations import (
     scheme_base,
 )
 from oridom.products import cartesian, join, lexicographic
-
-
-def test_enumeration_counts():
-    assert sum(1 for _ in enumerate_orientations(complete(3))) == 8
-    assert sum(1 for _ in enumerate_orientations(path(2))) == 2
-    assert sum(1 for _ in enumerate_orientations(empty(5))) == 1
-
-
-def test_enumeration_distinct_bitmasks():
-    G = build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5), (0, 4), (1, 5), (2, 3)])
-    assert G.m == 12
-    seen = {o.bits for o in enumerate_orientations(G)}
-    assert len(seen) == 1 << 12
-    assert seen == set(range(1 << 12))
-
-
-def test_enumeration_cap_is_eager():
-    G = complete(8)  # 28 edges
-    with pytest.raises(CapExceeded):
-        enumerate_orientations(G)
-    stream = enumerate_orientations(G, max_edges=28)
-    assert [o.bits for o in islice(stream, 4)] == [0, 1, 2, 3]
 
 
 def test_every_scheme_covers_its_base():

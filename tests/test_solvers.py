@@ -193,8 +193,6 @@ def test_import_starts_no_process_pool_machinery():
 def test_dom_matches_unfiltered_full_scan():
     # third route: enumerate every orientation and take the max gamma,
     # with no bulk filtering at all
-    from oridom.orientations import enumerate_orientations
-
     graphs = (
         cycle(7),
         build_graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6), (1, 4)]),
@@ -203,11 +201,11 @@ def test_dom_matches_unfiltered_full_scan():
     for G in graphs:
         best_val = 0
         best_bits = -1
-        for orientation in enumerate_orientations(G):
-            value = gamma(orientation.to_digraph()).value
+        for bits in range(1 << G.m):
+            value = gamma(Orientation(G, bits).to_digraph()).value
             if value > best_val:
                 best_val = value
-                best_bits = orientation.bits
+                best_bits = bits
         result = dom(G)
         assert result.value == best_val
         assert result.witness.bits == best_bits
@@ -270,9 +268,10 @@ def test_dom_smallest_witness_bitmask():
     assert result.witness.bits == smallest
 
 
-def test_dom_alpha_floor_and_refilter():
+def test_dom_alpha_floor_and_one_rise_break():
     # K_{2,2,3}: alpha = DOM = 3 < n - nu = 4, so the scan runs to the end;
-    # the first orientation attaining 3 is mask 396, in the chunk [256, 512)
+    # the first orientation attaining 3 is mask 396, in the chunk [256, 512),
+    # and that rise ends the chunk
     G = multipartite(2, 2, 3)
     result = dom(G)
     assert result.value == 3 == dom_oracle(G)
@@ -280,16 +279,16 @@ def test_dom_alpha_floor_and_refilter():
     assert all(gamma(Orientation(G, bits).to_digraph()).value < 3 for bits in range(396))
     tally = result.pruned_by
     assert result.nodes_explored == 1 << 16 == tally["vector_filtered"] + tally["exact_evals"]
-    assert tally["exact_evals"] <= 300  # 9,526 without the refilter, floor or not
+    assert tally["exact_evals"] <= 300  # 4 without the break
     # K_{2,9}: the floor meets the bipartite ceiling
     assert dom(multipartite(2, 9)).pruned_by["exact_evals"] <= 300  # 54,812 without the floor
 
 
-def test_dom_refilter_keeps_later_survivors():
+def test_dom_one_rise_break_keeps_later_chunks():
     # K_{1,2,4} plus a disjoint triangle: the incumbent rises to 5 at mask 7644
-    # and to 6 at mask 40412. The test still passes with doubling widths, but
-    # the rises now fall in different chunks, [4096, 8192) and [32768, 65536),
-    # so the second witness survives a fresh chunk filter, not a refilter
+    # and to 6 at mask 40412. The rises fall in different chunks, [4096, 8192)
+    # and [32768, 65536), so the break that ends the first chunk at its rise
+    # leaves the second witness to a fresh chunk filter
     G = build_graph(10, [*multipartite(1, 2, 4).edges, (7, 8), (7, 9), (8, 9)])
     result = dom(G)
     assert result.value == 6
@@ -297,8 +296,8 @@ def test_dom_refilter_keeps_later_survivors():
     assert all(gamma(Orientation(G, bits).to_digraph()).value < 6 for bits in range(40412))
     tally = result.pruned_by
     assert result.nodes_explored == 40413 == tally["vector_filtered"] + tally["exact_evals"]
-    # the refilter after the rise at 7644 drops the rest of that chunk's survivors
-    assert tally["exact_evals"] == 2  # 101 without the refilter
+    # the rest of the chunk [4096, 8192) after the rise at 7644 gets no exact gamma
+    assert tally["exact_evals"] == 2  # 101 without the break
 
 
 def test_dom_closed_sandwich_stops_at_first_exact_survivor():
@@ -323,15 +322,13 @@ def chunked_graphs(draw):
 @given(chunked_graphs())
 @settings(max_examples=25, deadline=None)
 def test_dom_witness_matches_unfiltered_scan(G):
-    from oridom.orientations import enumerate_orientations
-
     best_val = 0
     best_bits = -1
-    for orientation in enumerate_orientations(G):
-        value = gamma(orientation.to_digraph()).value
+    for bits in range(1 << G.m):
+        value = gamma(Orientation(G, bits).to_digraph()).value
         if value > best_val:
             best_val = value
-            best_bits = orientation.bits
+            best_bits = bits
     result = dom(G)
     assert (result.value, result.witness.bits) == (best_val, best_bits)
     assert result.value >= independence_number(G)
@@ -375,6 +372,20 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
         assert result.nodes_explored == tally["vector_filtered"] + tally["exact_evals"]
 
 
+@given(small_graphs())
+@settings(max_examples=40, deadline=None)
+def test_chunk_gamma_rises_at_most_one_above_its_prefix(G):
+    # the lemma behind the scan's break: each mask of a chunk is one arc
+    # reversal from a mask before the chunk, so gamma rises at most once in it
+    gammas = [gamma(Orientation(G, bits).to_digraph()).value for bits in range(1 << G.m)]
+    for chunk in (1, 2, 4, 8, domsearch._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_CHUNK", chunk)
+            for pos, rows in _chunk_rows(G.n, G.edges, 1 << G.m):
+                if pos:  # the chunk at 0 is the single mask 0
+                    assert max(gammas[pos : pos + rows.shape[1]]) <= max(gammas[:pos]) + 1
+
+
 @given(chunked_graphs())
 @settings(max_examples=15, deadline=None)
 def test_drop_covered_is_exact_within_budget_and_sound_beyond(G):
@@ -383,11 +394,11 @@ def test_drop_covered_is_exact_within_budget_and_sound_beyond(G):
     rows = _reference_rows(digraphs, n)
     gammas = np.array([gamma(D).value for D in digraphs])
     for cap in range(1, n - 1):
-        _, alive = _drop_covered(rows, np.arange(width), n, cap)
+        alive = _drop_covered(rows, n, cap)
         assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_SUBSET_BUDGET", 0)  # force the greedy cover
-            _, alive = _drop_covered(rows, np.arange(width), n, cap)
+            alive = _drop_covered(rows, n, cap)
         dropped = np.setdiff1d(np.arange(width), alive)
         assert (gammas[dropped] <= cap).all()
 
