@@ -104,7 +104,7 @@ def _cmd_orient(args) -> int:
     except KeyError as exc:
         print(f"error: scheme {name!r} needs parameter {exc}", file=sys.stderr)
         return 2
-    except (ValueError, CapExceeded, GraphFormatError, OSError) as exc:
+    except (ValueError, GraphFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write(format_digraph(digraph), args.out)
@@ -126,11 +126,7 @@ def _cmd_dom(args) -> int:
         print("witness cached")
         print("explored 0")
         return 0
-    try:
-        result = Solver(args.max_edges).dom(graph)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = Solver(args.max_edges).dom(graph)
     if cache:
         cache.store(graph, result.value)
     print(f"value {result.value}")
@@ -279,7 +275,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CapExceeded as exc:  # a search refused over its size cap, from any command
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

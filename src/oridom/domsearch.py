@@ -23,13 +23,17 @@ chunk: its column j holds the closed out-rows of mask base ^ j, and
 flipping edge (u, v) is one XOR on row u and one on row v, since in a
 simple graph no other edge sets those bits. The buffer grows by copying
 its columns and flipping the next edge on the copy, and is rebased to
-each chunk start by flipping the edges set in base ^ start. Masks that
-provably cannot beat the incumbent are discarded in bulk:
+each chunk start by flipping the edges set in base ^ start. Its dtype is
+the narrowest unsigned type holding n bits (uint8 up to n = 8, then
+uint16, uint32, uint64). Masks that provably cannot beat the incumbent
+are discarded in bulk:
 
   * dominating sets are upward closed, so gamma <= incumbent iff some
     vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
-    <= _SUBSET_BUDGET, one vectorized pass per such subset drops every
-    orientation it dominates (exact test: survivors have gamma > incumbent);
+    <= _SUBSET_BUDGET, the subsets are tested in blocks of about _BLOCK
+    (subset, orientation) pairs, one OR-reduction per block, and the
+    orientations a block dominates are dropped before the next block
+    (exact test: survivors have gamma > incumbent);
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
 
@@ -51,6 +55,7 @@ value. The witness is always the smallest bitmask attaining the value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -65,6 +70,7 @@ SOLVER_VERSION = "1"
 DEFAULT_EDGE_CAP = 22  # dom refuses larger graphs
 _CHUNK = 1 << 16
 _SUBSET_BUDGET = 800
+_BLOCK = 1 << 15  # subset-column pairs per exact-filter block
 
 
 def _exact_gamma(n, edges, mask, cutoff):
@@ -85,18 +91,19 @@ def _chunk_rows(n, edges, stop):
 
     rows is a view of one buffer, overwritten by the next step.
     """
-    rows = np.empty((n, min(_CHUNK, stop)), dtype=np.uint64)
+    word = np.min_scalar_type((1 << n) - 1).type  # narrowest unsigned type holding n bits
+    rows = np.empty((n, min(_CHUNK, stop)), dtype=word)
     out = [1 << v for v in range(n)]
     for u, v in edges:
         out[u] |= 1 << v
-    rows[:, 0] = np.array(out, dtype=np.uint64)
+    rows[:, 0] = np.array(out, dtype=word)
     base = pos = 0
     filled = 1
 
     def flip(e, cols):
         u, v = edges[e]
-        rows[u, cols] ^= np.uint64(1 << v)
-        rows[v, cols] ^= np.uint64(1 << u)
+        rows[u, cols] ^= word(1 << v)
+        rows[v, cols] ^= word(1 << u)
 
     while pos < stop:
         width = min(_CHUNK, stop - pos, max(1, pos))
@@ -111,26 +118,33 @@ def _chunk_rows(n, edges, stop):
         pos += width
 
 
+@functools.cache
+def _subsets(n, k):
+    """Read-only (C(n, k), k) array of the k-subsets of range(n), in combinations order."""
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    subsets.flags.writeable = False
+    return subsets
+
+
 def _drop_covered(rows, n, cap):
     """Offsets of the orientations (columns of rows) not certified to have gamma <= cap."""
     alive = np.arange(rows.shape[1])
-    full = np.uint64((1 << n) - 1)
+    full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
     if cap >= 1 and math.comb(n, cap) <= _SUBSET_BUDGET:
         # exact filter (upward closure): survivors are precisely gamma > cap
-        for subset in combinations(range(n), cap):
-            cover = rows[subset[0]]
-            for v in subset[1:]:
-                cover = cover | rows[v]
-            keep = cover != full
+        subsets = _subsets(n, cap)
+        start = 0
+        while start < len(subsets) and alive.size:
+            block = subsets[start : start + max(1, _BLOCK // alive.size)]
+            start += len(block)
+            keep = (np.bitwise_or.reduce(rows[block], axis=1) != full).all(axis=0)
             if not keep.all():
                 alive = alive[keep]
-                rows = rows[:, keep]
-            if alive.size == 0:
-                break
+                rows = rows.compress(keep, axis=1)  # faster than rows[:, keep]
     elif cap >= 1:
         # greedy cover for `cap` rounds; covered implies gamma <= cap
-        cover = np.zeros(alive.size, dtype=np.uint64)
+        cover = np.zeros(alive.size, dtype=rows.dtype)
         for _ in range(cap):
             if alive.size == 0:
                 break
@@ -140,7 +154,7 @@ def _drop_covered(rows, n, cap):
             keep = cover != full
             if not keep.all():
                 alive = alive[keep]
-                rows = rows[:, keep]
+                rows = rows.compress(keep, axis=1)
                 cover = cover[keep]
     return alive
 

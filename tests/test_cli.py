@@ -63,6 +63,23 @@ def test_sizes_over_cap_are_usage_errors(tmp_path, capsys):
     assert err.startswith("error: line 1: graph too large") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "corona", "--max-edges", "3"], ["props", "--max-edges", "3"], ["dom", "--max-edges", "3"]],
+    ids=["verify", "props", "dom"],
+)
+def test_scan_over_edge_cap_is_usage_error(argv, tmp_path, capsys):
+    if argv[0] == "dom":
+        target = tmp_path / "k4.ug"
+        target.write_text(format_graph(complete(4)))
+        argv = [*argv, "--graph", str(target), "--no-cache"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: orientation scan capped at 3 edges")
+    assert captured.err.count("\n") == 1
+
+
 def test_construct_non_ascii_digit_is_usage_error(capsys):
     assert main(["construct", "path:²"]) == 2
     assert capsys.readouterr().err.startswith("error: expected an integer")

@@ -1,4 +1,6 @@
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -334,9 +336,10 @@ def test_dom_witness_matches_unfiltered_scan(G):
     assert result.value >= independence_number(G)
 
 
-def _reference_rows(digraphs, n):
-    # rows[v][j]: closed out-neighbourhood of v in digraphs[j], read off the digraph
-    return np.array([[D.closed_out(v) for D in digraphs] for v in range(n)], dtype=np.uint64)
+def _reference_rows(digraphs, n, dtype=np.uint64):
+    # rows[v][j]: closed out-neighbourhood of v in digraphs[j], read off the digraph;
+    # compare with np.array_equal, which compares values across dtypes
+    return np.array([[D.closed_out(v) for D in digraphs] for v in range(n)], dtype=dtype)
 
 
 @st.composite
@@ -361,7 +364,7 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
             covered = 0
             for pos, rows in _chunk_rows(G.n, G.edges, stop):
                 assert pos == covered and rows.shape[1] == min(chunk, max(1, pos))
-                assert (rows == reference[:, pos : pos + rows.shape[1]]).all()
+                assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
                 covered += rows.shape[1]
             assert covered == stop
             result = dom(G)
@@ -401,6 +404,58 @@ def test_drop_covered_is_exact_within_budget_and_sound_beyond(G):
             alive = _drop_covered(rows, n, cap)
         dropped = np.setdiff1d(np.arange(width), alive)
         assert (gammas[dropped] <= cap).all()
+
+
+@given(chunked_graphs())
+@settings(max_examples=15, deadline=None)
+def test_drop_covered_and_dom_do_not_depend_on_block_size(G):
+    # _BLOCK 1 tests one subset per pass; the large value puts every subset of a
+    # chunk in one block (affordable only on these small chunks)
+    n = G.n
+    digraphs = [Orientation(G, bits).to_digraph() for bits in range(1 << G.m)]
+    rows = _reference_rows(digraphs, n, np.uint8)  # chunked_graphs have n <= 8
+    default = dom(G)
+    survivors = [_drop_covered(rows, n, cap).tolist() for cap in range(1, n - 1)]
+    for block in (1, domsearch._CHUNK * domsearch._SUBSET_BUDGET):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_BLOCK", block)
+            assert [_drop_covered(rows, n, cap).tolist() for cap in range(1, n - 1)] == survivors
+            result = dom(G)
+        assert (result.value, result.witness.bits, result.nodes_explored, result.pruned_by) == (
+            default.value, default.witness.bits, default.nodes_explored, default.pruned_by
+        )
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32), (32, np.uint32), (33, np.uint64)],
+)
+def test_row_dtype_boundaries(n, dtype):
+    # a star centred on the top vertex with at most 22 leaves, so the top bit of
+    # the row width is in use; gamma = n - max(1, out-leaves) reaches n - 1, so at
+    # every width the exact filter at cap n - 2 keeps some columns and drops others
+    G = build_graph(n, [(v, n - 1) for v in range(min(n - 1, 22))])
+    stop = 48
+    reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], n)
+    for pos, rows in _chunk_rows(n, G.edges, stop):
+        assert rows.dtype == dtype
+        assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
+
+    # a few dozen random orientations, each with its own arc density
+    rng = random.Random(n)
+    masks = [0, (1 << G.m) - 1]
+    for _ in range(40):
+        p = rng.random()
+        masks.append(sum(1 << e for e in range(G.m) if rng.random() < p))
+    digraphs = [Orientation(G, bits).to_digraph() for bits in masks]
+    rows = _reference_rows(digraphs, n, dtype)
+    gammas = np.array([gamma(D).value for D in digraphs])
+    for cap in range(1, n - 1):
+        alive = _drop_covered(rows, n, cap)
+        if math.comb(n, cap) <= domsearch._SUBSET_BUDGET:  # exact filter
+            assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+        else:  # greedy cover: drops only gamma <= cap
+            assert (gammas[np.setdiff1d(np.arange(len(masks)), alive)] <= cap).all()
 
 
 @given(
