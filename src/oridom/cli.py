@@ -128,7 +128,11 @@ def _cmd_dom(args) -> int:
         return 0
     result = Solver(args.max_edges).dom(graph)
     if cache:
-        cache.store(graph, result.value)
+        try:
+            cache.store(graph, result.value)
+        except OSError as exc:  # say, a dangling symlink where the cache file belongs
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(f"value {result.value}")
     print(f"witness {result.witness.bits}")
     print(f"explored {result.nodes_explored}")

@@ -33,7 +33,12 @@ are discarded in bulk:
     <= _SUBSET_BUDGET, the subsets are tested in blocks of about _BLOCK
     (subset, orientation) pairs, one OR-reduction per block, and the
     orientations a block dominates are dropped before the next block
-    (exact test: survivors have gamma > incumbent);
+    (exact test: survivors have gamma > incumbent). A chunk of _GROUP_MIN
+    or more columns is first cut into aligned groups of 8, which differ
+    only in its lowest 3 edges; the group's first column with those arcs
+    cleared is a subdigraph of all 8, and adding arcs never raises gamma,
+    so a subset dominating it drops the group. The group rows recurse, and
+    only the columns of uncertified groups are tested one by one;
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
 
@@ -71,6 +76,8 @@ DEFAULT_EDGE_CAP = 22  # dom refuses larger graphs
 _CHUNK = 1 << 16
 _SUBSET_BUDGET = 800
 _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
+_GROUP_BITS = 3  # the exact filter certifies aligned groups of 1 << _GROUP_BITS columns
+_GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
 
 
 def _exact_gamma(n, edges, mask, cutoff):
@@ -126,13 +133,27 @@ def _subsets(n, k):
     return subsets
 
 
-def _drop_covered(rows, n, cap):
-    """Offsets of the orientations (columns of rows) not certified to have gamma <= cap."""
+def _drop_covered(rows, n, cap, edges):
+    """Offsets of the orientations (columns of rows) not certified to have gamma <= cap.
+
+    Columns j and j ^ i of rows differ only in the edges whose bits are set in i.
+    """
     alive = np.arange(rows.shape[1])
     full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
     if cap >= 1 and math.comb(n, cap) <= _SUBSET_BUDGET:
         # exact filter (upward closure): survivors are precisely gamma > cap
+        if rows.shape[1] >= _GROUP_MIN:
+            # a group's first column, with the arcs of the group's edges cleared, is
+            # a subgraph of each of its columns, and adding arcs never raises gamma
+            group, shared = 1 << _GROUP_BITS, [(1 << n) - 1] * n
+            for u, v in edges[:_GROUP_BITS]:
+                shared[u] &= ~(1 << v)
+                shared[v] &= ~(1 << u)
+            shared = rows[:, ::group] & np.array(shared, dtype=rows.dtype)[:, None]
+            groups = _drop_covered(shared, n, cap, edges[_GROUP_BITS:])
+            alive = (groups[:, None] * group + np.arange(group)).ravel()
+            rows = rows[:, alive]
         subsets = _subsets(n, cap)
         start = 0
         while start < len(subsets) and alive.size:
@@ -173,7 +194,7 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     explored = exact_evals = ceiling_stop = 0
 
     for pos, rows in _chunk_rows(n, edges, 1 << G.m):
-        for offset in map(int, _drop_covered(rows, n, best_val)):
+        for offset in map(int, _drop_covered(rows, n, best_val, edges)):
             value = _exact_gamma(n, edges, pos + offset, best_val)
             exact_evals += 1
             if value > best_val:

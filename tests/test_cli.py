@@ -268,6 +268,20 @@ def test_unusable_cache_dir_is_usage_error_before_the_scan(tmp_path, capsys, mon
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_unwritable_cache_file_is_usage_error_after_the_scan(tmp_path, capsys):
+    # a dangling symlink into a missing directory: the lookup sees no file and the
+    # directory exists, so only the append fails (chmod would not stop root)
+    graph_file = tmp_path / "g.ug"
+    graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "dom-cache.tsv").symlink_to(tmp_path / "missing" / "dom-cache.tsv")
+    assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.ug"
     bad.write_text("ug x y\n", encoding="utf-8")

@@ -27,6 +27,7 @@ from oridom.graphs import (
 )
 from oridom.invariants import independence_number
 from oridom.orientations import acyclic_lex_cycle_orientation, k222_orientation
+from oridom.products import cartesian
 from oridom.solvers import dom_oracle, gamma, is_dominating, is_packing, rho
 
 
@@ -397,11 +398,11 @@ def test_drop_covered_is_exact_within_budget_and_sound_beyond(G):
     rows = _reference_rows(digraphs, n)
     gammas = np.array([gamma(D).value for D in digraphs])
     for cap in range(1, n - 1):
-        alive = _drop_covered(rows, n, cap)
+        alive = _drop_covered(rows, n, cap, G.edges)
         assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_SUBSET_BUDGET", 0)  # force the greedy cover
-            alive = _drop_covered(rows, n, cap)
+            alive = _drop_covered(rows, n, cap, G.edges)
         dropped = np.setdiff1d(np.arange(width), alive)
         assert (gammas[dropped] <= cap).all()
 
@@ -415,22 +416,74 @@ def test_drop_covered_and_dom_do_not_depend_on_block_size(G):
     digraphs = [Orientation(G, bits).to_digraph() for bits in range(1 << G.m)]
     rows = _reference_rows(digraphs, n, np.uint8)  # chunked_graphs have n <= 8
     default = dom(G)
-    survivors = [_drop_covered(rows, n, cap).tolist() for cap in range(1, n - 1)]
+    survivors = [_drop_covered(rows, n, cap, G.edges).tolist() for cap in range(1, n - 1)]
     for block in (1, domsearch._CHUNK * domsearch._SUBSET_BUDGET):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_BLOCK", block)
-            assert [_drop_covered(rows, n, cap).tolist() for cap in range(1, n - 1)] == survivors
+            assert [_drop_covered(rows, n, cap, G.edges).tolist() for cap in range(1, n - 1)] == survivors
             result = dom(G)
         assert (result.value, result.witness.bits, result.nodes_explored, result.pruned_by) == (
             default.value, default.witness.bits, default.nodes_explored, default.pruned_by
         )
 
 
+@given(chunked_graphs())
+@settings(max_examples=15, deadline=None)
+def test_drop_covered_groups_keep_exactly_the_gamma_above_cap(G):
+    # _GROUP_MIN 8 groups every chunk of 8 or more columns, so up to 2^11
+    # columns run several levels of groups of groups before the column filter
+    n, width = G.n, 1 << G.m
+    digraphs = [Orientation(G, bits).to_digraph() for bits in range(width)]
+    rows = _reference_rows(digraphs, n, np.uint8)  # chunked_graphs have n <= 8
+    gammas = np.array([gamma(D).value for D in digraphs])
+    for bits in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_GROUP_MIN", 8)
+            mp.setattr(domsearch, "_GROUP_BITS", bits)
+            for cap in range(1, n - 1):
+                alive = _drop_covered(rows, n, cap, G.edges)
+                assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+
+
+@given(chunked_graphs())
+@settings(max_examples=15, deadline=None)
+def test_dom_does_not_depend_on_grouping(G):
+    default = dom(G)
+    for group_min in (8, domsearch._GROUP_MIN, 1 << 30):
+        for bits in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(domsearch, "_GROUP_MIN", group_min)
+                mp.setattr(domsearch, "_GROUP_BITS", bits)
+                result = dom(G)
+            assert (result.value, result.witness.bits, result.nodes_explored, result.pruned_by) == (
+                default.value, default.witness.bits, default.nodes_explored, default.pruned_by
+            )
+
+
+@pytest.mark.parametrize(
+    "G, expected, exact_evals",
+    [
+        (complete(7), (3, 85298, 2097152), 3),
+        (cartesian(complete(3), complete(3))[0], (4, 1322, 262144), 2),
+        (multipartite(1, 18), (18, 131071, 131072), 1),
+        (multipartite(2, 2, 4), (4, 489244, 489245), 1),
+        (multipartite(1, 2, 6), (6, 515964, 515965), 1),
+    ],
+    ids=["K_7", "K_3xK_3", "K_1,18", "K_2,2,4", "K_1,2,6"],
+)
+def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
+    # chunks of 1,024 columns and more run the group step
+    result = dom(G)
+    assert (result.value, result.witness.bits, result.nodes_explored) == expected
+    assert result.pruned_by["exact_evals"] == exact_evals
+    assert result.pruned_by["vector_filtered"] == result.nodes_explored - exact_evals
+
+
 @pytest.mark.parametrize(
     "n, dtype",
     [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32), (32, np.uint32), (33, np.uint64)],
 )
-def test_row_dtype_boundaries(n, dtype):
+def test_row_dtype_boundaries(n, dtype, monkeypatch):
     # a star centred on the top vertex with at most 22 leaves, so the top bit of
     # the row width is in use; gamma = n - max(1, out-leaves) reaches n - 1, so at
     # every width the exact filter at cap n - 2 keeps some columns and drops others
@@ -450,8 +503,10 @@ def test_row_dtype_boundaries(n, dtype):
     digraphs = [Orientation(G, bits).to_digraph() for bits in masks]
     rows = _reference_rows(digraphs, n, dtype)
     gammas = np.array([gamma(D).value for D in digraphs])
+    # these columns are not aligned orientations, so they must not be grouped
+    monkeypatch.setattr(domsearch, "_GROUP_MIN", 1 << 30)
     for cap in range(1, n - 1):
-        alive = _drop_covered(rows, n, cap)
+        alive = _drop_covered(rows, n, cap, G.edges)
         if math.comb(n, cap) <= domsearch._SUBSET_BUDGET:  # exact filter
             assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
         else:  # greedy cover: drops only gamma <= cap
