@@ -88,9 +88,6 @@ class Digraph:
     def closed_out(self, v: int) -> int:
         return self.out_rows[v] | (1 << v)
 
-    def closed_in(self, v: int) -> int:
-        return self.in_rows[v] | (1 << v)
-
 
 @dataclass(frozen=True)
 class Orientation:

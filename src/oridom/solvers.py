@@ -3,8 +3,10 @@
 gamma() is a set-cover style branch and bound over closed in-neighborhoods;
 rho() reduces maximum packing to maximum independent set on a conflict
 graph. dom_oracle() deliberately shares no code with the optimized search
-machinery: it is a plain double loop over orientation bitmasks and vertex
-subsets, used as ground truth.
+machinery: it tries every vertex subset in increasing size against a
+bit-sliced cover table, one big integer per ordered vertex pair with one bit
+per orientation bitmask, so each subset is tested on all orientations at
+once. It uses stdlib integers only and serves as ground truth.
 """
 
 from __future__ import annotations
@@ -146,9 +148,12 @@ def rho(D: Digraph) -> DomResult:
 def dom_oracle(G: UndirectedGraph) -> int:
     """Ground-truth orientable domination number, no pruning of any kind.
 
-    Every orientation bitmask; for each, every vertex subset in increasing
-    size until one dominates. Kept independent of the optimized search on
-    purpose. Refuses instances beyond |E| <= 16, n <= 12.
+    Every orientation goes through every vertex subset in increasing size,
+    all orientations at once: ``cov[v][u]`` has bit j set iff u lies in the
+    closed out-neighborhood of v under orientation bitmask j. Size k hits
+    the orientations that some k-subset dominates; the value is the last k
+    that hits one still undecided. Kept independent of the optimized search
+    on purpose. Refuses instances beyond |E| <= 16, n <= 12.
     """
     n, edges = G.n, G.edges
     m = len(edges)
@@ -157,32 +162,31 @@ def dom_oracle(G: UndirectedGraph) -> int:
             f"oracle capped at |E| <= {ORACLE_EDGE_CAP}, n <= {ORACLE_VERTEX_CAP};"
             f" got |E|={m}, n={n}"
         )
-    full = (1 << n) - 1
-    subsets_by_size = [
-        list(combinations(range(n), k)) for k in range(n + 1)
-    ]
+    ones = (1 << (1 << m)) - 1
+    cov = [[ones if u == v else 0 for u in range(n)] for v in range(n)]
+    for e, (u, v) in enumerate(edges):
+        # bit j set iff j >> e & 1, which orients edge e from v to u
+        half = 1 << e
+        flipped = ones // ((1 << 2 * half) - 1) * (((1 << half) - 1) << half)
+        cov[v][u] = flipped
+        cov[u][v] = ones ^ flipped
+    undecided = ones
     best = 0
-    for bits in range(1 << m):
-        rows = [1 << v for v in range(n)]
-        for e in range(m):
-            u, v = edges[e]
-            if bits >> e & 1:
-                rows[v] |= 1 << u
-            else:
-                rows[u] |= 1 << v
-        value = n
-        done = False
-        for size in range(1, n + 1):
-            for subset in subsets_by_size[size]:
-                cover = 0
+    for size in range(1, n + 1):
+        hit = 0
+        for subset in combinations(range(n), size):
+            dominated = undecided
+            for u in range(n):
+                reach = 0
                 for v in subset:
-                    cover |= rows[v]
-                if cover == full:
-                    value = size
-                    done = True
+                    reach |= cov[v][u]
+                dominated &= reach
+                if not dominated:
                     break
-            if done:
+            hit |= dominated
+        if hit:
+            best = size
+            undecided ^= hit
+            if not undecided:
                 break
-        if value > best:
-            best = value
     return best

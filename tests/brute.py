@@ -78,3 +78,44 @@ def brute_bip(G):
                 continue
             return size
     return 0
+
+
+def brute_dom(G):
+    """Orientable domination number by a plain double loop, no pruning.
+
+    Every orientation bitmask (bit e set orients edge e from its larger
+    endpoint to its smaller); for each, every vertex subset in increasing
+    size until one dominates. The largest such size over all orientations
+    is the value.
+    """
+    n, edges = G.n, G.edges
+    m = len(edges)
+    full = (1 << n) - 1
+    subsets_by_size = [
+        list(combinations(range(n), k)) for k in range(n + 1)
+    ]
+    best = 0
+    for bits in range(1 << m):
+        rows = [1 << v for v in range(n)]
+        for e in range(m):
+            u, v = edges[e]
+            if bits >> e & 1:
+                rows[v] |= 1 << u
+            else:
+                rows[u] |= 1 << v
+        value = n
+        done = False
+        for size in range(1, n + 1):
+            for subset in subsets_by_size[size]:
+                cover = 0
+                for v in subset:
+                    cover |= rows[v]
+                if cover == full:
+                    value = size
+                    done = True
+                    break
+            if done:
+                break
+        if value > best:
+            best = value
+    return best

@@ -3,25 +3,32 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_gamma, brute_rho
+from brute import brute_dom, brute_gamma, brute_rho
 from oridom.domsearch import dom
 from oridom.graphs import Orientation, build_graph, delete_edge, induced_subgraph
 from oridom.invariants import independence_number, is_bipartite, matching_number
-from oridom.solvers import dom_oracle, gamma, rho
+from oridom.solvers import ORACLE_EDGE_CAP, dom_oracle, gamma, rho
 
 
 @st.composite
-def tiny_graphs(draw):
-    n = draw(st.integers(1, 5))
+def tiny_graphs(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    picks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    max_size = min(len(pairs), ORACLE_EDGE_CAP)
+    picks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_size)) if pairs else []
     return build_graph(n, picks)
 
 
-@given(tiny_graphs())
-@settings(max_examples=40, deadline=None)
+@given(tiny_graphs(max_n=7))
+@settings(max_examples=80, deadline=None)
 def test_dom_equals_oracle(G):
     assert dom(G).value == dom_oracle(G)
+
+
+@given(tiny_graphs(max_n=6))
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_brute_dom_on_random_graphs(G):
+    assert dom_oracle(G) == brute_dom(G)
 
 
 @given(tiny_graphs())

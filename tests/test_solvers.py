@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_gamma, brute_rho
+from brute import brute_dom, brute_gamma, brute_rho
 import oridom
 from oridom import domsearch
 from oridom.domsearch import Solver, _chunk_rows, _drop_covered, dom
@@ -27,7 +28,7 @@ from oridom.graphs import (
 )
 from oridom.invariants import independence_number
 from oridom.orientations import acyclic_lex_cycle_orientation, k222_orientation
-from oridom.products import cartesian
+from oridom.products import cartesian, corona
 from oridom.solvers import dom_oracle, gamma, is_dominating, is_packing, rho
 
 
@@ -141,6 +142,36 @@ def test_oracle_caps():
         dom_oracle(complete(7))  # 21 edges
     with pytest.raises(CapExceeded):
         dom_oracle(empty(13))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [path(3), cycle(4), cycle(5), complete(5), empty(3)],
+    ids=["P_3", "C_4", "C_5", "K_5", "K3_bar"],
+)
+def test_oracle_matches_brute_dom(G):
+    assert dom_oracle(G) == brute_dom(G)
+
+
+@pytest.mark.parametrize("H", [complete(1), path(2)], ids=["K_1", "P_2"])
+@pytest.mark.parametrize("G", [complete(1), path(2), path(3), complete(3)], ids=["K_1", "P_2", "P_3", "K_3"])
+def test_oracle_matches_brute_dom_on_coronas(G, H):
+    C = corona(G, H)[0]
+    assert dom_oracle(C) == brute_dom(C)
+
+
+def test_oracle_at_its_caps():
+    # 12 vertices and 16 edges: both oracle caps at once, 2^16 orientations
+    rng = random.Random(7)
+    pairs = list(itertools.combinations(range(12), 2))
+    graphs = [rng.sample(pairs, 16) for _ in range(3)]
+    values = [dom_oracle(build_graph(12, edges)) for edges in graphs]
+    assert values == [dom(build_graph(12, edges)).value for edges in graphs] == [7, 6, 7]
+    extra = next(pair for pair in pairs if pair not in graphs[0])
+    with pytest.raises(CapExceeded):
+        dom_oracle(build_graph(12, [*graphs[0], extra]))  # 17 edges
+    with pytest.raises(CapExceeded):
+        dom_oracle(build_graph(13, graphs[0]))  # 13 vertices
 
 
 def test_dom_examples():
