@@ -14,7 +14,8 @@ the smallest mask attaining DOM.
 
 The n - nu ceiling: the scan stops at the first mask whose gamma reaches
 n - matching_number. On a bipartite graph this equals alpha (Konig), so
-there the scan ends at the first mask attaining the floor.
+there one matching gives both ends, and the scan ends at the first mask
+attaining the floor.
 
 Masks are built in numpy chunks whose widths double from 1 (1, 1, 2, 4,
 ..., up to _CHUNK), so every chunk start is a multiple of its width and a
@@ -68,7 +69,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import CapExceeded, Orientation, UndirectedGraph, _iter_bits, induced_subgraph
-from .invariants import independence_number, matching_number
+from .invariants import independence_number, is_bipartite, matching_number
 from .solvers import DomResult, _gamma_engine
 
 SOLVER_VERSION = "1"
@@ -236,9 +237,10 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -> DomResult:
             f"orientation scan supports at most 64 non-isolated vertices, got {scan_graph.n}"
         )
 
-    # alpha <= DOM <= n - nu; on bipartite graphs the two meet (Konig)
-    scan_floor = independence_number(G) - iso
-    scan_ceiling = G.n - matching_number(G) - iso
+    # alpha <= DOM <= n - nu; on bipartite graphs the two meet (Konig), so one nu gives both
+    nu = matching_number(G)
+    scan_floor = (G.n - nu if is_bipartite(G)[0] else independence_number(G)) - iso
+    scan_ceiling = G.n - nu - iso
 
     best_val, best_mask, explored, pruned = _scan(scan_graph, scan_floor, scan_ceiling)
     if best_mask < 0:

@@ -47,10 +47,11 @@ def dom_bounds(G: UndirectedGraph, partition=None, solver: Solver | None = None)
     values of its induced subgraphs (computed exactly by ``solver``, whose
     caps apply; None means a fresh Solver()).
     """
-    alpha = independence_number(G)
     upper = G.n - matching_number(G)
+    bipartite = is_bipartite(G)[0]
+    alpha = upper if bipartite else independence_number(G)  # Konig: alpha = n - nu
     sources = {"independence": alpha, "n_minus_matching": upper}
-    if is_bipartite(G)[0]:
+    if bipartite:
         sources["bipartite_equality"] = alpha
         upper = alpha
     if partition is not None:

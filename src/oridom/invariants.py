@@ -1,9 +1,10 @@
 """Classical invariants consumed by the domination bounds.
 
-Independence and matching numbers are computed by exact branch and bound,
-valid for arbitrary (non-bipartite) graphs at desk scale. All searches are
-deterministic: ties break on canonical vertex / edge order, so witnesses
-are reproducible across runs.
+Matchings come from Edmonds' blossom algorithm, O(n^3). The independence
+number peels vertices of degree <= 1 (some maximum independent set holds
+each), then takes n - nu on a bipartite remainder (Konig) and an exact
+branch and bound otherwise. All searches are deterministic: ties break on
+canonical vertex / edge order, so witnesses are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .graphs import CapExceeded, Digraph, UndirectedGraph, _iter_bits
+from .graphs import CapExceeded, Digraph, UndirectedGraph, _iter_bits, induced_subgraph
 
 BIP_VERTEX_CAP = 20
 
@@ -20,48 +21,43 @@ BIP_VERTEX_CAP = 20
 def max_independent_set_masks(adj: list[int], n: int) -> int:
     """Maximum independent set of the graph given by adjacency bitrows.
 
-    Returns the witness as a bitmask. Branches on the highest-degree
-    vertex of the remaining graph; upper bound is a greedy clique cover.
+    Returns the witness as a bitmask: the first maximum leaf of a DFS that
+    branches on the highest-degree vertex left (ties to the lowest index),
+    include before exclude. The bounds (vertices left, a greedy clique
+    cover) and taking an independent remainder whole skip only subtrees with
+    no larger leaf, so they never change which leaf that is.
     """
-    full = (1 << n) - 1
-    best_size = 0
-    best_mask = 0
-
-    def clique_cover_bound(remaining: int) -> int:
-        count = 0
-        left = remaining
-        while left:
-            v = (left & -left).bit_length() - 1
-            clique = 1 << v
-            left ^= 1 << v
-            for u in _iter_bits(left):
-                if adj[u] & clique == clique:
-                    clique |= 1 << u
-                    left ^= 1 << u
-            count += 1
-        return count
-
-    def recurse(remaining: int, chosen: int, size: int):
-        nonlocal best_size, best_mask
-        if remaining == 0:
-            if size > best_size:
-                best_size = size
-                best_mask = chosen
-            return
-        if size + clique_cover_bound(remaining) <= best_size:
-            return
-        pick = -1
-        pick_deg = -1
-        for v in _iter_bits(remaining):
-            deg = (adj[v] & remaining).bit_count()
-            if deg > pick_deg:
-                pick = v
-                pick_deg = deg
-        bit = 1 << pick
-        recurse(remaining & ~(adj[pick] | bit), chosen | bit, size + 1)
-        recurse(remaining & ~bit, chosen, size)
-
-    recurse(full, 0, 0)
+    best_size = best_mask = 0
+    todo = [((1 << n) - 1, 0, 0)]  # (remaining, chosen, size); an explicit stack, no depth limit
+    while todo:
+        remaining, chosen, size = todo.pop()
+        while size + remaining.bit_count() > best_size:
+            pick, pick_deg, left = -1, 0, remaining
+            while left:
+                low = left & -left
+                deg = (adj[low.bit_length() - 1] & remaining).bit_count()
+                if deg > pick_deg:
+                    pick, pick_deg = low.bit_length() - 1, deg
+                left ^= low
+            if pick < 0:  # independent: the DFS's first leaf below takes all of it
+                best_size, best_mask = size + remaining.bit_count(), chosen | remaining
+                break
+            # greedy clique cover, lowest vertex first; stops once it cannot prune
+            cliques, left = 0, remaining
+            while left and size + cliques <= best_size:
+                low = left & -left
+                common = adj[low.bit_length() - 1] & left
+                left ^= low
+                while common:
+                    low = common & -common
+                    common &= adj[low.bit_length() - 1]
+                    left ^= low
+                cliques += 1
+            if size + cliques <= best_size:
+                break
+            bit = 1 << pick
+            todo.append((remaining & ~bit, chosen, size))  # exclude pick, after the include subtree
+            remaining, chosen, size = remaining & ~(adj[pick] | bit), chosen | bit, size + 1
     return best_mask
 
 
@@ -70,41 +66,80 @@ def max_independent_set(G: UndirectedGraph) -> tuple[int, ...]:
 
 
 def independence_number(G: UndirectedGraph) -> int:
-    return len(max_independent_set(G))
+    """alpha(G): peel degree <= 1, then n - nu if bipartite, else branch and bound."""
+    adj, alive, taken = G.adj, (1 << G.n) - 1, 0
+    stack = list(range(G.n))
+    while stack:
+        v = stack.pop()
+        near = adj[v] & alive
+        if alive >> v & 1 and near.bit_count() <= 1:
+            alive &= ~(near | 1 << v)
+            taken += 1
+            if near:  # only the removed neighbour's neighbours lose degree
+                stack += _iter_bits(adj[near.bit_length() - 1] & alive)
+    if not alive:
+        return taken
+    rest = induced_subgraph(G, _iter_bits(alive))
+    if is_bipartite(rest)[0]:
+        return taken + rest.n - matching_number(rest)
+    return taken + max_independent_set_masks(list(rest.adj), rest.n).bit_count()
 
 
 def max_matching(G: UndirectedGraph) -> tuple[tuple[int, int], ...]:
-    """Maximum matching by include/exclude branch and bound over edges.
+    """Maximum matching by Edmonds' blossom algorithm, O(n^3).
 
-    The branching edge is the one whose endpoint degrees (within the
-    remaining graph) sum highest; the bound is matched + remaining
-    non-isolated vertices / 2.
+    Starts from the greedy matching in canonical edge order, then grows an
+    alternating tree once from each free vertex, contracting odd cycles
+    (blossoms) into their base, until it meets an augmenting path; a vertex
+    with no augmenting path never gets one later.
     """
-    best: list[tuple[tuple[int, int], ...]] = [()]
-
-    def recurse(edges: tuple[tuple[int, int], ...], chosen: list[tuple[int, int]]):
-        if not edges:
-            if len(chosen) > len(best[0]):
-                best[0] = tuple(chosen)
-            return
-        degree: dict[int, int] = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        if len(chosen) + len(degree) // 2 <= len(best[0]):
-            return
-        pick = max(range(len(edges)), key=lambda i: (degree[edges[i][0]] + degree[edges[i][1]], -i))
-        u, v = edges[pick]
-        # include {u,v}: drop every edge touching u or v
-        kept = tuple(e for e in edges if u not in e and v not in e)
-        chosen.append((u, v))
-        recurse(kept, chosen)
-        chosen.pop()
-        # exclude {u,v}
-        recurse(edges[:pick] + edges[pick + 1 :], chosen)
-
-    recurse(G.edges, [])
-    return best[0]
+    n, adj = G.n, G.adj
+    mate = [-1] * n
+    for u, v in G.edges:
+        if mate[u] < 0 and mate[v] < 0:
+            mate[u], mate[v] = v, u
+    for root in range(n):
+        if mate[root] >= 0:
+            continue
+        base, parent, outer, queue, end = list(range(n)), [-1] * n, 1 << root, [root], -1
+        for v in queue:  # outer (even) vertices; blossoms append theirs
+            for to in _iter_bits(adj[v]):
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or mate[to] >= 0 and parent[mate[to]] >= 0:
+                    # even-even edge: the blossom's base is the deepest common ancestor
+                    top = base[v]
+                    path = 1 << top
+                    while mate[top] >= 0:
+                        top = base[parent[mate[top]]]
+                        path |= 1 << top
+                    top, blossom = base[to], 0
+                    while not path >> top & 1:
+                        top = base[parent[mate[top]]]
+                    for x, child in ((v, to), (to, v)):
+                        while base[x] != top:
+                            blossom |= 1 << base[x] | 1 << base[mate[x]]
+                            parent[x], child = child, mate[x]
+                            x = parent[child]
+                    for i in range(n):
+                        if blossom >> base[i] & 1:
+                            base[i] = top
+                            if not outer >> i & 1:
+                                outer |= 1 << i
+                                queue.append(i)
+                elif parent[to] < 0:
+                    parent[to] = v
+                    if mate[to] < 0:
+                        end = to
+                        break
+                    outer |= 1 << mate[to]
+                    queue.append(mate[to])
+            if end >= 0:
+                break
+        while end >= 0:  # flip the augmenting path from end back to root
+            v = parent[end]
+            mate[end], mate[v], end = v, end, mate[v]
+    return tuple((v, mate[v]) for v in range(n) if v < mate[v])
 
 
 def matching_number(G: UndirectedGraph) -> int:

@@ -119,3 +119,59 @@ def brute_dom(G):
         if value > best:
             best = value
     return best
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reference_max_independent_set_masks(adj, n):
+    """The maximum-independent-set kernel as first written, kept as the witness reference.
+
+    Branches on the highest-degree vertex of the remaining graph (ties to
+    the lowest index), include before exclude, pruned by a greedy clique
+    cover; the witness is the first maximum leaf of that DFS.
+    """
+    full = (1 << n) - 1
+    best_size = 0
+    best_mask = 0
+
+    def clique_cover_bound(remaining):
+        count = 0
+        left = remaining
+        while left:
+            v = (left & -left).bit_length() - 1
+            clique = 1 << v
+            left ^= 1 << v
+            for u in _bits(left):
+                if adj[u] & clique == clique:
+                    clique |= 1 << u
+                    left ^= 1 << u
+            count += 1
+        return count
+
+    def recurse(remaining, chosen, size):
+        nonlocal best_size, best_mask
+        if remaining == 0:
+            if size > best_size:
+                best_size = size
+                best_mask = chosen
+            return
+        if size + clique_cover_bound(remaining) <= best_size:
+            return
+        pick = -1
+        pick_deg = -1
+        for v in _bits(remaining):
+            deg = (adj[v] & remaining).bit_count()
+            if deg > pick_deg:
+                pick = v
+                pick_deg = deg
+        bit = 1 << pick
+        recurse(remaining & ~(adj[pick] | bit), chosen | bit, size + 1)
+        recurse(remaining & ~bit, chosen, size)
+
+    recurse(full, 0, 0)
+    return best_mask

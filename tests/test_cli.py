@@ -211,6 +211,15 @@ def test_gamma_rho_bounds_commands(tmp_path, capsys):
     assert "lower 2" in out and "upper 3" in out
 
 
+def test_bounds_command_on_long_path(tmp_path, capsys):
+    # 300 vertices: the independence search peels the path leaf by leaf
+    ug = tmp_path / "p300.ug"
+    ug.write_text(format_graph(path(300)), encoding="utf-8")
+    assert main(["bounds", "--graph", str(ug)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "lower 150" in lines and "upper 150" in lines
+
+
 def test_verify_command(capsys):
     assert main(["verify", "counterexample"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_bip, brute_independence, brute_matching
+from brute import (
+    brute_bip,
+    brute_independence,
+    brute_matching,
+    reference_max_independent_set_masks,
+)
+from oridom.corpus import all_trees
 from oridom.graphs import (
     CapExceeded,
     Orientation,
@@ -11,6 +19,7 @@ from oridom.graphs import (
     complete,
     cycle,
     empty,
+    induced_subgraph,
     multipartite,
     path,
 )
@@ -22,6 +31,7 @@ from oridom.invariants import (
     is_bipartite,
     matching_number,
     max_independent_set,
+    max_independent_set_masks,
     max_induced_bipartite,
     max_induced_bipartite_order,
     max_matching,
@@ -123,8 +133,8 @@ def test_is_acyclic_cycle_with_pendant_sink():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 7))
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return build_graph(n, picks)
@@ -174,3 +184,134 @@ def test_witnesses_are_valid(G):
     used = [v for e in matching for v in e]
     assert len(used) == len(set(used))
     assert all(G.has_edge(u, v) for u, v in matching)
+
+
+def _conflict_rows(D):
+    """The packing conflict graph rho searches: arcs, plus pairs with a common in-neighbour."""
+    rows = [D.out_rows[v] | D.in_rows[v] for v in range(D.n)]
+    for w in range(D.n):
+        for v in range(D.n):
+            if D.out_rows[w] >> v & 1:
+                rows[v] |= D.out_rows[w] & ~(1 << v)
+    return rows
+
+
+def test_mis_witness_matches_reference_kernel():
+    rng = random.Random(12)
+    for _ in range(600):
+        n, p = rng.randint(1, 14), rng.random()
+        adj = list(build_graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p]).adj)
+        assert max_independent_set_masks(adj, n) == reference_max_independent_set_masks(adj, n)
+    conflicts = 0
+    for n in range(1, 8):
+        for T in all_trees(n):
+            for bits in range(1 << T.m):
+                rows = _conflict_rows(Orientation(T, bits).to_digraph())
+                assert max_independent_set_masks(rows, n) == reference_max_independent_set_masks(rows, n)
+                conflicts += 1
+    assert conflicts == 1 + 2 + 4 + 16 + 3 * 16 + 6 * 32 + 11 * 64
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+BLOSSOM_GRAPHS = {
+    "C_5": (cycle(5), 2),
+    "C_7": (cycle(7), 3),
+    "Petersen": (_petersen(), 5),
+    "two triangles and a bridge": (build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]), 3),
+    "3-petal flower": (build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6)]), 3),
+    "3-petal flower with a stem": (
+        build_graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6), (0, 7)]),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOSSOM_GRAPHS))
+def test_matching_on_blossom_graphs(name):
+    G, nu = BLOSSOM_GRAPHS[name]
+    assert brute_matching(G) == nu
+    rng = random.Random(name)
+    # relabelling changes the greedy start, and with it the blossoms the search meets
+    for _ in range(25):
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+        assert matching_number(H) == nu
+        _assert_matching(H, max_matching(H))
+
+
+def _assert_matching(G, matching):
+    used = [v for e in matching for v in e]
+    assert len(used) == len(set(used))
+    assert all(u < v and G.has_edge(u, v) for u, v in matching)
+
+
+@given(small_graphs(max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_blossom_matches_brute_matching(G):
+    matching = max_matching(G)
+    _assert_matching(G, matching)
+    assert len(matching) == matching_number(G) == brute_matching(G)
+
+
+def test_independence_number_peels_long_paths():
+    assert independence_number(path(200)) == 100
+    near_tree = build_graph(300, [*path(300).edges, (0, 2)])
+    assert not is_bipartite(near_tree)[0]
+    assert independence_number(near_tree) == 150
+    # a triangle with a pendant vertex at each corner: peeling alone empties it
+    spiky = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+    assert independence_number(spiky) == brute_independence(spiky) == 3
+
+
+def test_mis_kernel_has_no_recursion_limit():
+    # the include branch runs 1,001 deep, past Python's default recursion limit
+    G = build_graph(2002, [(2 * i, 2 * i + 1) for i in range(1001)])
+    assert max_independent_set(G) == tuple(range(0, 2002, 2))
+
+
+def _tutte_berge_bound(G, barrier):
+    """(n + |U| - odd components of G - U) / 2, an upper bound on nu for every U."""
+    seen, odd = set(barrier), 0
+    for start in range(G.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            for u in G.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        odd += size % 2
+    return (G.n + len(barrier) - odd) // 2
+
+
+def test_sparse_random_64_vertex_graph():
+    # 64 vertices, 112 edges: the matching branch and bound took about 10 s on such graphs
+    rng = random.Random(1)
+    pairs = [(u, v) for u in range(64) for v in range(u + 1, 64)]
+    G = build_graph(64, rng.sample(pairs, 112))
+    assert not is_bipartite(G)[0]
+    matching = max_matching(G)
+    _assert_matching(G, matching)
+    # Gallai-Edmonds: the neighbours of the vertices some maximum matching misses
+    # form a barrier whose Tutte-Berge bound certifies the matching maximum
+    missable = {
+        v for v in range(G.n)
+        if matching_number(induced_subgraph(G, [u for u in range(G.n) if u != v])) == len(matching)
+    }
+    barrier = {u for v in missable for u in G.neighbors(v)} - missable
+    assert len(matching) == _tutte_berge_bound(G, barrier)
+    adj = list(G.adj)
+    witness = max_independent_set_masks(adj, G.n)
+    assert witness == reference_max_independent_set_masks(adj, G.n)
+    assert independence_number(G) == witness.bit_count() == 34
