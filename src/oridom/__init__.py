@@ -27,13 +27,9 @@ from .graphs import (
     induced_subgraph,
     multipartite,
     path,
-    underlying_graph,
 )
 from .invariants import (
-    InvariantReport,
-    cover_numbers,
     independence_number,
-    invariant_report,
     is_acyclic,
     is_bipartite,
     matching_number,
@@ -41,6 +37,7 @@ from .invariants import (
     max_induced_bipartite,
     max_induced_bipartite_order,
     max_matching,
+    sandwich,
 )
 from .io import (
     GraphFormatError,

@@ -55,10 +55,11 @@ def _parse_params(raw: str | None) -> dict[str, str]:
         return params
     key = None
     for piece in raw.split(","):
-        if "=" in piece:
-            key, _, value = piece.partition("=")
-            params[key.strip()] = value.strip()
-        elif key is not None:
+        name, eq, value = piece.partition("=")
+        if eq and name.strip():
+            key = name.strip()
+            params[key] = value.strip()
+        elif not eq and key is not None:
             params[key] += "," + piece.strip()
         else:
             raise ValueError(f"malformed parameters {raw!r}")
@@ -76,9 +77,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_orient(args) -> int:
-    params = _parse_params(args.params)
     name = args.scheme.removesuffix("_orientation")
     try:
+        params = _parse_params(args.params)
         if name in SELF_CONTAINED_SCHEMES:
             builder, wanted = SELF_CONTAINED_SCHEMES[name]
             digraph = builder(*(int(params[key]) for key in wanted))

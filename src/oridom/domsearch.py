@@ -69,7 +69,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import CapExceeded, Orientation, UndirectedGraph, _iter_bits, induced_subgraph
-from .invariants import independence_number, is_bipartite, matching_number
+from .invariants import sandwich
 from .solvers import DomResult, _gamma_engine
 
 SOLVER_VERSION = "1"
@@ -237,10 +237,8 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -> DomResult:
             f"orientation scan supports at most 64 non-isolated vertices, got {scan_graph.n}"
         )
 
-    # alpha <= DOM <= n - nu; on bipartite graphs the two meet (Konig), so one nu gives both
-    nu = matching_number(G)
-    scan_floor = (G.n - nu if is_bipartite(G)[0] else independence_number(G)) - iso
-    scan_ceiling = G.n - nu - iso
+    alpha, upper, _ = sandwich(G)
+    scan_floor, scan_ceiling = alpha - iso, upper - iso
 
     best_val, best_mask, explored, pruned = _scan(scan_graph, scan_floor, scan_ceiling)
     if best_mask < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .domsearch import Solver
 from .graphs import UndirectedGraph, complete, induced_subgraph
-from .invariants import independence_number, is_bipartite, matching_number
+from .invariants import sandwich
 from .products import cartesian, join
 
 _TIE_EPS = 1e-9
@@ -47,13 +47,10 @@ def dom_bounds(G: UndirectedGraph, partition=None, solver: Solver | None = None)
     values of its induced subgraphs (computed exactly by ``solver``, whose
     caps apply; None means a fresh Solver()).
     """
-    upper = G.n - matching_number(G)
-    bipartite = is_bipartite(G)[0]
-    alpha = upper if bipartite else independence_number(G)  # Konig: alpha = n - nu
+    alpha, upper, bipartite = sandwich(G)
     sources = {"independence": alpha, "n_minus_matching": upper}
     if bipartite:
         sources["bipartite_equality"] = alpha
-        upper = alpha
     if partition is not None:
         blocks = [list(block) for block in partition]
         flat = sorted(v for block in blocks for v in block)
@@ -153,7 +150,6 @@ class VizingCheck:
     dom_product: int
     dom_factor_product: int
     holds: bool
-    factor_bipartite: bool  # inequality is guaranteed when either factor is
 
 
 def vizing_like_check(
@@ -164,5 +160,4 @@ def vizing_like_check(
     dom_g = solver.dom(G).value
     dom_h = solver.dom(H).value
     dom_gh = solver.dom(cartesian(G, H)[0]).value
-    bipartite = is_bipartite(G)[0] or is_bipartite(H)[0]
-    return VizingCheck(dom_gh, dom_g * dom_h, dom_gh >= dom_g * dom_h, bipartite)
+    return VizingCheck(dom_gh, dom_g * dom_h, dom_gh >= dom_g * dom_h)

@@ -10,7 +10,7 @@ module that indexes edges relies on that order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CapExceeded(RuntimeError):
@@ -36,16 +36,11 @@ def _iter_bits(mask: int):
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple labeled graph. Treat as immutable; all fields are tuples.
-
-    ``parts`` is populated for complete multipartite graphs only and holds
-    the independent parts in ascending-size order.
-    """
+    """Simple labeled graph. Treat as immutable; all fields are tuples."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[int, ...]
-    parts: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -53,9 +48,6 @@ class UndirectedGraph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int):
-        return _iter_bits(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -85,9 +77,6 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self.in_rows[v].bit_count()
 
-    def closed_out(self, v: int) -> int:
-        return self.out_rows[v] | (1 << v)
-
 
 @dataclass(frozen=True)
 class Orientation:
@@ -114,7 +103,7 @@ class Orientation:
         return build_digraph(self.base.n, [self.arc(i) for i in range(self.base.m)])
 
 
-def build_graph(n, edges, parts=None) -> UndirectedGraph:
+def build_graph(n, edges) -> UndirectedGraph:
     """Validate and canonicalize an edge list into an UndirectedGraph."""
     if n < 1:
         raise ValueError(f"graph must have at least one vertex, got n={n}")
@@ -135,7 +124,7 @@ def build_graph(n, edges, parts=None) -> UndirectedGraph:
     for u, v in canonical:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return UndirectedGraph(n, tuple(canonical), tuple(adj), parts)
+    return UndirectedGraph(n, tuple(canonical), tuple(adj))
 
 
 def build_digraph(n, arcs) -> Digraph:
@@ -214,7 +203,7 @@ def multipartite(*sizes: int) -> UndirectedGraph:
             for u in parts[i]:
                 for v in parts[j]:
                     edges.append((u, v))
-    return build_graph(total, edges, parts=parts)
+    return build_graph(total, edges)
 
 
 _FAMILIES = {
@@ -261,10 +250,3 @@ def delete_edge(G: UndirectedGraph, u: int, v: int) -> UndirectedGraph:
         raise ValueError(f"no such edge: {key}")
     return build_graph(G.n, [e for e in G.edges if e != key])
 
-
-def underlying_graph(D: Digraph) -> UndirectedGraph:
-    """Forget directions; opposite arc pairs collapse to one edge."""
-    seen = set()
-    for u, v in D.arcs:
-        seen.add((u, v) if u < v else (v, u))
-    return build_graph(D.n, sorted(seen))

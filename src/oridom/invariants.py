@@ -3,13 +3,15 @@
 Matchings come from Edmonds' blossom algorithm, O(n^3). The independence
 number peels vertices of degree <= 1 (some maximum independent set holds
 each), then takes n - nu on a bipartite remainder (Konig) and an exact
-branch and bound otherwise. All searches are deterministic: ties break on
-canonical vertex / edge order, so witnesses are reproducible across runs.
+branch and bound otherwise. sandwich(G) gives both ends of
+alpha <= DOM <= n - nu from one matching. One two-colouring serves
+is_bipartite and max_induced_bipartite. All searches are deterministic:
+ties break on canonical vertex / edge order, so witnesses are reproducible
+across runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -146,53 +148,44 @@ def matching_number(G: UndirectedGraph) -> int:
     return len(max_matching(G))
 
 
-def cover_numbers(G: UndirectedGraph) -> tuple[int, int | None]:
-    """(vertex cover number, edge cover number or None with isolated vertices)."""
-    beta = G.n - independence_number(G)
-    if any(G.adj[v] == 0 for v in range(G.n)):
-        return beta, None
-    return beta, G.n - matching_number(G)
+def sandwich(G: UndirectedGraph) -> tuple[int, int, bool]:
+    """(alpha, n - nu, bipartite): alpha <= DOM <= n - nu, equal when bipartite.
+
+    nu is computed once; on a bipartite graph alpha = n - nu (Konig), so the
+    independent-set search is skipped there.
+    """
+    upper = G.n - matching_number(G)
+    bipartite = is_bipartite(G)[0]
+    return (upper if bipartite else independence_number(G)), upper, bipartite
 
 
 def is_bipartite(G: UndirectedGraph):
     """(flag, (left, right)) — two-coloring when bipartite, else (False, None)."""
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in _iter_bits(G.adj[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False, None
-    left = tuple(v for v in range(G.n) if color[v] == 0)
-    right = tuple(v for v in range(G.n) if color[v] == 1)
-    return True, (left, right)
+    split = _two_colouring(G.adj, (1 << G.n) - 1)
+    return split is not None, split
 
 
-def _bipartition_of_subset(adj: tuple[int, ...], subset_mask: int):
-    """Two-color the induced subgraph; None when an odd cycle appears."""
-    color: dict[int, int] = {}
-    for start in _iter_bits(subset_mask):
-        if start in color:
+def _two_colouring(adj, mask: int):
+    """Two-colour the subgraph induced by mask; None when an odd cycle appears.
+
+    The lowest vertex of each component goes left; sides are sorted.
+    """
+    colour = [-1] * len(adj)
+    for start in _iter_bits(mask):
+        if colour[start] != -1:
             continue
-        color[start] = 0
+        colour[start] = 0
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in _iter_bits(adj[v] & subset_mask):
-                if u not in color:
-                    color[u] = 1 - color[v]
+            for u in _iter_bits(adj[v] & mask):
+                if colour[u] == -1:
+                    colour[u] = 1 - colour[v]
                     stack.append(u)
-                elif color[u] == color[v]:
+                elif colour[u] == colour[v]:
                     return None
-    left = tuple(v for v in sorted(color) if color[v] == 0)
-    right = tuple(v for v in sorted(color) if color[v] == 1)
+    left = tuple(v for v in _iter_bits(mask) if colour[v] == 0)
+    right = tuple(v for v in _iter_bits(mask) if colour[v] == 1)
     return left, right
 
 
@@ -209,7 +202,7 @@ def max_induced_bipartite(G: UndirectedGraph, cap: int = BIP_VERTEX_CAP):
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            split = _bipartition_of_subset(G.adj, mask)
+            split = _two_colouring(G.adj, mask)
             if split is not None:
                 return subset, split
     raise AssertionError("unreachable: single vertex is bipartite")
@@ -247,24 +240,3 @@ def is_acyclic(D: Digraph):
         walk.append(v)
         v = next(u for u in _iter_bits(D.in_rows[v]) if u in leftover)
     return False, tuple(reversed(walk[seen_at[v] :]))
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    alpha: int
-    alpha_prime: int
-    beta: int
-    beta_prime: int | None
-    bip: int
-    is_bipartite: bool
-
-
-def invariant_report(G: UndirectedGraph) -> InvariantReport:
-    alpha = independence_number(G)
-    alpha_prime = matching_number(G)
-    beta, beta_prime = G.n - alpha, None
-    if all(G.adj[v] for v in range(G.n)):
-        beta_prime = G.n - alpha_prime
-    flag, _ = is_bipartite(G)
-    bip = G.n if flag else max_induced_bipartite_order(G)
-    return InvariantReport(alpha, alpha_prime, beta, beta_prime, bip, flag)

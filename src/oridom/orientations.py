@@ -16,9 +16,6 @@ from .graphs import (
     build_digraph,
     check_size,
     complete,
-    cycle,
-    empty,
-    multipartite,
     path,
 )
 from .products import cartesian, join, lexicographic
@@ -204,21 +201,6 @@ def k222_orientation() -> Digraph:
         (5, 2), (5, 3),
     ]
     return build_digraph(6, arcs)
-
-
-def scheme_base(name: str, **params) -> UndirectedGraph:
-    """Base graph a self-contained scheme orients (for round-trip checks)."""
-    if name == "path_join":
-        return join(path(params["n"]), complete(1))
-    if name == "prism":
-        return cartesian(cycle(params["n"]), complete(2))[0]
-    if name == "k3_box_k3":
-        return cartesian(complete(3), complete(3))[0]
-    if name == "k222":
-        return multipartite(2, 2, 2)
-    if name == "acyclic_lex_cycle":
-        return lexicographic(cycle(2 * params["k"] + 1), empty(params["s"]))[0]
-    raise ValueError(f"unknown scheme {name!r}")
 
 
 SELF_CONTAINED_SCHEMES = {

@@ -55,17 +55,7 @@ def cartesian(G: UndirectedGraph, H: UndirectedGraph):
 
 def lexicographic(G: UndirectedGraph, H: UndirectedGraph):
     """(x,y) ~ (u,v) iff xu in E(G), or x=u and yv in E(H)."""
-    check_size(G.n * H.n, G.n * H.m + G.m * H.n * H.n)
-    vmap = ProductVertexMap(G.n, H.n)
-    edges = []
-    for g in range(G.n):
-        for a, b in H.edges:
-            edges.append((vmap.forward(g, a), vmap.forward(g, b)))
-    for a, b in G.edges:
-        for y in range(H.n):
-            for v in range(H.n):
-                edges.append((vmap.forward(a, y), vmap.forward(b, v)))
-    return build_graph(G.n * H.n, edges), vmap
+    return generalized_lexicographic(G, [H] * G.n)[0], ProductVertexMap(G.n, H.n)
 
 
 def generalized_lexicographic(G: UndirectedGraph, hs: Sequence[UndirectedGraph]):
@@ -77,6 +67,7 @@ def generalized_lexicographic(G: UndirectedGraph, hs: Sequence[UndirectedGraph])
     for H in hs:
         starts.append(total)
         total += H.n
+    check_size(total, sum(H.m for H in hs) + sum(hs[u].n * hs[v].n for u, v in G.edges))
     blocks = BlockMap(tuple((starts[u], hs[u].n) for u in range(G.n)))
     edges = []
     for u in range(G.n):

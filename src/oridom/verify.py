@@ -4,8 +4,8 @@ Each suite builds its instances, solves them exactly, and reports one
 VerifyCase per claim. The K_9 case (36 edges) is reported SKIPPED with its
 known value and log bounds when it exceeds the orientation-scan edge cap;
 any other instance over the cap raises CapExceeded, which the CLI reports
-as a usage error. Suites are deterministic for a fixed seed and independent
-of worker count.
+as a usage error. Suites are deterministic for a fixed seed; every scan
+runs in the calling process, so the ``workers`` argument changes nothing.
 """
 
 from __future__ import annotations

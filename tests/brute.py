@@ -7,6 +7,11 @@ lists; nothing is shared with the package's branch-and-bound machinery.
 from itertools import combinations
 
 
+def underlying_edges(D):
+    """Edges under D's arcs in canonical order; opposite arcs collapse to one edge."""
+    return tuple(sorted({(u, v) if u < v else (v, u) for u, v in D.arcs}))
+
+
 def brute_independence(G):
     """Largest subset with no edge inside, by enumerating all subsets."""
     best = 0

@@ -196,6 +196,14 @@ def test_orient_accepts_full_operation_names(tmp_path):
     assert gamma(parse_digraph(out_file.read_text())).value == 4
 
 
+@pytest.mark.parametrize("raw", ["n", ",n=4", "n=4,=3", "=4"])
+def test_orient_malformed_params_is_usage_error(raw, capsys):
+    assert main(["orient", "--scheme", "prism", "--params", raw]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed parameters {raw!r}\n"
+
+
 def test_gamma_rho_bounds_commands(tmp_path, capsys):
     dg = tmp_path / "c3.dg"
     dg.write_text("dg 3 3\n0 1\n1 2\n2 0\n", encoding="utf-8")

@@ -25,8 +25,8 @@ def test_trees_are_trees():
             frontier = [0]
             while frontier:
                 v = frontier.pop()
-                for u in T.neighbors(v):
-                    if u not in seen:
+                for u in range(n):
+                    if T.has_edge(v, u) and u not in seen:
                         seen.add(u)
                         frontier.append(u)
             assert len(seen) == n

@@ -24,9 +24,7 @@ from oridom.graphs import (
     path,
 )
 from oridom.invariants import (
-    cover_numbers,
     independence_number,
-    invariant_report,
     is_acyclic,
     is_bipartite,
     matching_number,
@@ -35,6 +33,7 @@ from oridom.invariants import (
     max_induced_bipartite,
     max_induced_bipartite_order,
     max_matching,
+    sandwich,
 )
 from oridom.orientations import acyclic_lex_cycle_orientation
 from oridom.products import cartesian, lexicographic
@@ -56,12 +55,6 @@ def test_matching_number_examples():
     # frozen from brute-force matching enumeration (Hamiltonian, 10 vertices)
     assert brute_matching(blown_c5) == 5
     assert matching_number(blown_c5) == 5
-
-
-def test_cover_numbers_examples():
-    assert cover_numbers(path(4)) == (2, 2)
-    assert cover_numbers(empty(3)) == (0, None)
-    assert cover_numbers(complete(3)) == (2, 2)
 
 
 def test_bip_examples():
@@ -143,16 +136,47 @@ def small_graphs(draw, max_n=7):
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_gallai_identities(G):
-    report = invariant_report(G)
-    assert report.alpha + report.beta == G.n
-    if report.beta_prime is not None:
-        assert report.alpha_prime + report.beta_prime == G.n
-    if report.is_bipartite:
-        assert report.bip == G.n
-        assert report.alpha_prime == report.beta  # Konig-Egervary
-    assert report.alpha == brute_independence(G)
-    assert report.alpha_prime == brute_matching(G)
-    assert report.bip == brute_bip(G)
+    alpha, nu = independence_number(G), matching_number(G)
+    bip, bipartite = max_induced_bipartite_order(G), is_bipartite(G)[0]
+    # alpha + beta = n: a maximum independent set's complement covers every edge
+    independent = set(max_independent_set(G))
+    assert len(independent) == alpha
+    assert not any(u in independent and v in independent for u, v in G.edges)
+    # nu + beta' = n without isolated vertices: a maximum matching plus one edge per
+    # unmatched vertex covers every vertex
+    matching = max_matching(G)
+    assert len(matching) == nu
+    if all(G.adj):
+        covered = {v for edge in matching for v in edge}
+        unmatched = [v for v in range(G.n) if v not in covered]
+        cover = set(matching) | {next(e for e in G.edges if v in e) for v in unmatched}
+        assert len(cover) == G.n - nu
+        assert {v for edge in cover for v in edge} == set(range(G.n))
+    if bipartite:
+        assert bip == G.n
+        assert nu == G.n - alpha  # Konig-Egervary: nu = beta
+    assert alpha == brute_independence(G)
+    assert nu == brute_matching(G)
+    assert bip == brute_bip(G)
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_sandwich_matches_brute(G):
+    assert sandwich(G) == (brute_independence(G), G.n - brute_matching(G), is_bipartite(G)[0])
+
+
+@given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_two_colourings_are_proper(G):
+    flag, split = is_bipartite(G)
+    subset, (left, right) = max_induced_bipartite(G)
+    assert sorted(left + right) == sorted(subset)
+    assert not any(G.has_edge(u, v) for side in (left, right) for u in side for v in side)
+    if flag:
+        assert split == (left, right) and subset == tuple(range(G.n))
+    else:
+        assert split is None and len(subset) < G.n
 
 
 @st.composite
@@ -287,8 +311,8 @@ def _tutte_berge_bound(G, barrier):
         while stack:
             v = stack.pop()
             size += 1
-            for u in G.neighbors(v):
-                if u not in seen:
+            for u in range(G.n):
+                if G.has_edge(v, u) and u not in seen:
                     seen.add(u)
                     stack.append(u)
         odd += size % 2
@@ -309,7 +333,7 @@ def test_sparse_random_64_vertex_graph():
         v for v in range(G.n)
         if matching_number(induced_subgraph(G, [u for u in range(G.n) if u != v])) == len(matching)
     }
-    barrier = {u for v in missable for u in G.neighbors(v)} - missable
+    barrier = {u for v in missable for u in range(G.n) if G.has_edge(v, u)} - missable
     assert len(matching) == _tutte_berge_bound(G, barrier)
     adj = list(G.adj)
     witness = max_independent_set_masks(adj, G.n)

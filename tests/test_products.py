@@ -86,6 +86,16 @@ def test_products_refuse_results_over_size_cap():
     assert join(empty(100), empty(100)).m == 10_000
 
 
+def test_generalized_lexicographic_refuses_results_over_size_cap():
+    for G, hs in (
+        (empty(3), [empty(4000)] * 3),  # 12,000 vertices
+        (path(2), [empty(101), empty(100)]),  # 10,100 cross edges
+    ):
+        with pytest.raises(ValueError, match="graph too large"):
+            generalized_lexicographic(G, hs)
+    assert generalized_lexicographic(path(2), [empty(100), empty(100)])[0].m == 10_000
+
+
 def test_join_examples():
     c4 = join(empty(2), empty(2))
     assert c4.n == 4 and c4.m == 4
@@ -148,6 +158,13 @@ def test_generalized_matches_plain_lexicographic(pair):
     lex, _ = lexicographic(G, H)
     gen, _ = generalized_lexicographic(G, [H] * G.n)
     assert gen.edges == lex.edges
+    # lexicographic is built by generalized_lexicographic, so also check the definition
+    by_definition = {
+        (x * H.n + y, u * H.n + v)
+        for x in range(G.n) for y in range(H.n) for u in range(G.n) for v in range(H.n)
+        if (x, y) < (u, v) and (G.has_edge(x, u) or x == u and H.has_edge(y, v))
+    }
+    assert set(lex.edges) == by_definition
 
 
 def test_corona_block_is_hub_join():

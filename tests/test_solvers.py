@@ -371,7 +371,7 @@ def test_dom_witness_matches_unfiltered_scan(G):
 def _reference_rows(digraphs, n, dtype=np.uint64):
     # rows[v][j]: closed out-neighbourhood of v in digraphs[j], read off the digraph;
     # compare with np.array_equal, which compares values across dtypes
-    return np.array([[D.closed_out(v) for D in digraphs] for v in range(n)], dtype=dtype)
+    return np.array([[D.out_rows[v] | 1 << v for D in digraphs] for v in range(n)], dtype=dtype)
 
 
 @st.composite
