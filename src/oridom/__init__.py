@@ -59,8 +59,6 @@ from .orientations import (
     prism_orientation,
 )
 from .products import (
-    BlockMap,
-    ProductVertexMap,
     cartesian,
     corona,
     generalized_lexicographic,

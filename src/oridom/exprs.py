@@ -13,9 +13,9 @@ from .graphs import UndirectedGraph, family
 from .products import cartesian, corona, join, lexicographic
 
 _OPS = {
-    "cart": lambda g, h: cartesian(g, h)[0],
-    "lex": lambda g, h: lexicographic(g, h)[0],
-    "corona": lambda g, h: corona(g, h)[0],
+    "cart": cartesian,
+    "lex": lexicographic,
+    "corona": corona,
     "join": join,
 }
 

@@ -159,5 +159,5 @@ def vizing_like_check(
     solver = solver or Solver()
     dom_g = solver.dom(G).value
     dom_h = solver.dom(H).value
-    dom_gh = solver.dom(cartesian(G, H)[0]).value
+    dom_gh = solver.dom(cartesian(G, H)).value
     return VizingCheck(dom_gh, dom_g * dom_h, dom_gh >= dom_g * dom_h)

@@ -52,11 +52,6 @@ class UndirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def edge_index(self, u: int, v: int) -> int:
-        """Position of edge {u,v} in canonical order."""
-        key = (u, v) if u < v else (v, u)
-        return self.edges.index(key)
-
 
 @dataclass(frozen=True)
 class Digraph:

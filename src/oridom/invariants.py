@@ -2,8 +2,9 @@
 
 Matchings come from Edmonds' blossom algorithm, O(n^3). The independence
 number peels vertices of degree <= 1 (some maximum independent set holds
-each), then takes n - nu on a bipartite remainder (Konig) and an exact
-branch and bound otherwise. sandwich(G) gives both ends of
+each), then takes n - nu on a bipartite remainder (Konig), the sum of
+|C| // 2 over the cycles C of a 2-regular remainder, and an exact branch
+and bound otherwise. sandwich(G) gives both ends of
 alpha <= DOM <= n - nu from one matching. One two-colouring serves
 is_bipartite and max_induced_bipartite. All searches are deterministic:
 ties break on canonical vertex / edge order, so witnesses are reproducible
@@ -68,7 +69,7 @@ def max_independent_set(G: UndirectedGraph) -> tuple[int, ...]:
 
 
 def independence_number(G: UndirectedGraph) -> int:
-    """alpha(G): peel degree <= 1, then n - nu if bipartite, else branch and bound."""
+    """alpha(G): peel degree <= 1; n - nu if bipartite, sum |C| // 2 if 2-regular, else search."""
     adj, alive, taken = G.adj, (1 << G.n) - 1, 0
     stack = list(range(G.n))
     while stack:
@@ -84,6 +85,19 @@ def independence_number(G: UndirectedGraph) -> int:
     rest = induced_subgraph(G, _iter_bits(alive))
     if is_bipartite(rest)[0]:
         return taken + rest.n - matching_number(rest)
+    if all(rest.degree(v) == 2 for v in range(rest.n)):  # disjoint cycles
+        left = (1 << rest.n) - 1
+        while left:
+            cycle = frontier = left & -left
+            while frontier:
+                reach = 0
+                for v in _iter_bits(frontier):
+                    reach |= rest.adj[v]
+                frontier = reach & ~cycle
+                cycle |= frontier
+            taken += cycle.bit_count() // 2
+            left ^= cycle
+        return taken
     return taken + max_independent_set_masks(list(rest.adj), rest.n).bit_count()
 
 

@@ -2,9 +2,11 @@
 
 Every scheme builds its arcs by walking the base graph's canonical edge
 list and choosing a direction per edge, so the underlying graph of the
-output always equals the base graph edge-for-edge. Schemes that need
-optimal sub-orientations take them as explicit arguments; they never run
-the DOM solver themselves.
+output always equals the base graph edge-for-edge; the composite schemes
+take that list from the ``products`` constructor and read each endpoint's
+factor vertices off its id with ``divmod``. Schemes that need optimal
+sub-orientations take them as explicit arguments; they never run the DOM
+solver themselves.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ from .graphs import (
     build_digraph,
     check_size,
     complete,
+    cycle,
+    empty,
     path,
 )
-from .products import cartesian, join, lexicographic
+from .products import cartesian, corona, join, lexicographic
 
-def _same_shape(a: UndirectedGraph, b: UndirectedGraph) -> bool:
-    return a.n == b.n and a.edges == b.edges
+
+def _arcs(f: Orientation) -> set[tuple[int, int]]:
+    return {f.arc(i) for i in range(f.base.m)}
 
 
 def path_join_orientation(n: int) -> Digraph:
@@ -51,22 +56,19 @@ def corona_orientation(
     Each block {u} + copy of H is oriented by ``h`` (an orientation of
     H + K_1, with u in the K_1 role); the G edges follow ``g``.
     """
-    if not _same_shape(g.base, G):
+    if g.base != G:
         raise ValueError("orientation g does not match G")
-    hub_graph = join(H, complete(1))
-    if not _same_shape(h.base, hub_graph):
+    if h.base != join(H, complete(1)):
         raise ValueError("orientation h does not match H + K_1")
-    hub = H.n
-    arcs = [g.arc(i) for i in range(G.m)]
-    for u in range(G.n):
-        start = G.n + u * H.n
-
-        def place(x: int) -> int:
-            return u if x == hub else start + x
-
-        for i in range(hub_graph.m):
-            a, b = h.arc(i)
-            arcs.append((place(a), place(b)))
+    g_arcs, h_arcs = _arcs(g), _arcs(h)
+    arcs = []
+    for p, q in corona(G, H).edges:
+        if q < G.n:  # an edge of G
+            forward = (p, q) in g_arcs
+        else:  # in u's block: its copy of H starts at n(G) + u*n(H), and h's hub H.n is u
+            u, b = divmod(q - G.n, H.n)
+            forward = (H.n if p == u else p - G.n - u * H.n, b) in h_arcs
+        arcs.append((p, q) if forward else (q, p))
     return build_digraph(G.n * (1 + H.n), arcs)
 
 
@@ -82,22 +84,19 @@ def cartesian_orientation(g_f: Orientation, h_g: Orientation, A) -> Digraph:
         for y in a_set:
             if x != y and H.has_edge(x, y):
                 raise ValueError(f"A is not independent in H: edge {{{x},{y}}}")
-    product, vmap = cartesian(G, H)
+    g_arcs, h_arcs = _arcs(g_f), _arcs(h_g)
     arcs = []
-    for u, v in product.edges:
-        gi, hi = vmap.inverse(u)
-        gk, hl = vmap.inverse(v)
+    for u, v in cartesian(G, H).edges:
+        gi, hi = divmod(u, H.n)
+        gk, hl = divmod(v, H.n)
         if hi == hl:  # G-layer edge
-            a, b = g_f.arc(G.edge_index(gi, gk))
-            arcs.append((vmap.forward(a, hi), vmap.forward(b, hi)))
-        elif hi in a_set:
-            arcs.append((u, v))
-        elif hl in a_set:
-            arcs.append((v, u))
+            forward = (gi, gk) in g_arcs
+        elif hi in a_set or hl in a_set:  # away from the A-fibre
+            forward = hi in a_set
         else:
-            a, b = h_g.arc(H.edge_index(hi, hl))
-            arcs.append((vmap.forward(gi, a), vmap.forward(gi, b)))
-    return build_digraph(product.n, arcs)
+            forward = (hi, hl) in h_arcs
+        arcs.append((u, v) if forward else (v, u))
+    return build_digraph(G.n * H.n, arcs)
 
 
 def k3_box_k3_orientation() -> Digraph:
@@ -117,28 +116,23 @@ def k3_box_k3_orientation() -> Digraph:
 def prism_orientation(n: int) -> Digraph:
     """Orientation of C_n x K_2 (Cartesian) with domination number n.
 
-    Both cycle layers run forward; every rung points from layer 0 to
-    layer 1. Vertex (i, layer) has id 2*i + layer.
+    The Cartesian scheme with A empty: both cycle layers run forward and
+    every rung points from layer 0 to layer 1. Vertex (i, layer) has id
+    2*i + layer.
     """
     if n < 3:
         raise ValueError(f"prism needs a cycle of length >= 3, got {n}")
-    check_size(2 * n, 3 * n)
-    arcs = []
-    for i in range(n):
-        nxt = (i + 1) % n
-        arcs.append((2 * i, 2 * nxt))
-        arcs.append((2 * i + 1, 2 * nxt + 1))
-        arcs.append((2 * i, 2 * i + 1))
-    return build_digraph(2 * n, arcs)
+    check_size(2 * n, 3 * n)  # the product's size, before the cycle is built
+    # bit 1 of cycle(n) reverses its edge {0, n-1}, so the cycle runs 0 -> 1 -> ... -> 0
+    return cartesian_orientation(Orientation(cycle(n), 2), Orientation(complete(2), 0), ())
 
 
 def lex_orientation(G: UndirectedGraph, A, H_f: Orientation) -> Digraph:
     """Orient the lexicographic product of G and H_f's base graph.
 
-    Each copy follows ``H_f``. Cross edges leaving a copy indexed by a
-    vertex of the independent set A point away from that copy; cross
-    edges between two non-A copies run from the lower G-index to the
-    higher (a fixed, reproducible completion).
+    Each copy follows ``H_f``. A cross edge between the copies of gp < gq
+    runs from copy gp to copy gq unless gq is in the independent set A, so
+    every cross edge at an A-copy points away from it.
     """
     H = H_f.base
     a_set = set(A)
@@ -146,44 +140,30 @@ def lex_orientation(G: UndirectedGraph, A, H_f: Orientation) -> Digraph:
         for y in a_set:
             if x != y and G.has_edge(x, y):
                 raise ValueError(f"A is not independent in G: edge {{{x},{y}}}")
-    product, vmap = lexicographic(G, H)
+    h_arcs = _arcs(H_f)
     arcs = []
-    for p, q in product.edges:
-        gu, ha = vmap.inverse(p)
-        gv, hb = vmap.inverse(q)
-        if gu == gv:  # inside one copy
-            a, b = H_f.arc(H.edge_index(ha, hb))
-            arcs.append((vmap.forward(gu, a), vmap.forward(gu, b)))
-        elif gu in a_set:
-            arcs.append((p, q))
-        elif gv in a_set:
-            arcs.append((q, p))
-        else:
-            arcs.append((p, q) if gu < gv else (q, p))
-    return build_digraph(product.n, arcs)
+    for p, q in lexicographic(G, H).edges:
+        gp, a = divmod(p, H.n)
+        gq, b = divmod(q, H.n)
+        # inside one copy follow H_f; across copies gp < gq, away from an A-copy
+        forward = (a, b) in h_arcs if gp == gq else gq not in a_set
+        arcs.append((p, q) if forward else (q, p))
+    return build_digraph(G.n * H.n, arcs)
 
 
 def acyclic_lex_cycle_orientation(k: int, s: int) -> Digraph:
     """Acyclic orientation of C_{2k+1} composed with s-fold blowup.
 
-    All edges between consecutive cycle classes run forward, and the
-    chord class (first to last) also runs from the first class. The
+    The lexicographic scheme with A empty: every cross edge runs from the
+    lower cycle class to the higher, so consecutive classes run forward and
+    the chord class (first to last) also runs from the first class. The
     result has domination number s+2k-2 but packing number s+k-1.
     Vertex (i, j) has id i*s + j.
     """
     if k < 2 or s < 2:
         raise ValueError(f"need k >= 2 and s >= 2, got k={k}, s={s}")
-    verts = 2 * k + 1
-    check_size(verts * s, verts * s * s)
-    arcs = []
-    for i in range(verts - 1):
-        for j in range(s):
-            for l in range(s):
-                arcs.append((i * s + j, (i + 1) * s + l))
-    for j in range(s):
-        for l in range(s):
-            arcs.append((j, (verts - 1) * s + l))
-    return build_digraph(verts * s, arcs)
+    check_size((2 * k + 1) * s, (2 * k + 1) * s * s)  # the product's size, before the cycle is built
+    return lex_orientation(cycle(2 * k + 1), (), Orientation(empty(s), 0))
 
 
 def k222_orientation() -> Digraph:

@@ -134,7 +134,7 @@ def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
         )
     for g_name, G in (("K_1", complete(1)), ("P_2", path(2)), ("P_3", path(3)), ("K_3", complete(3))):
         for h_name, H in (("K_1", complete(1)), ("P_2", path(2))):
-            C = corona(G, H)[0]
+            C = corona(G, H)
             formula = corona_dom(G, H, solver)
             cases.append(
                 _case(
@@ -171,8 +171,8 @@ def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
 
 def _suite_cartesian(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
-    p3k3 = cartesian(path(3), complete(3))[0]
-    k3k3 = cartesian(complete(3), complete(3))[0]
+    p3k3 = cartesian(path(3), complete(3))
+    k3k3 = cartesian(complete(3), complete(3))
     cases.append(_case("cartesian", "DOM(P_3 box K_3) = 4", 4, solver.dom(p3k3).value))
     cases.append(_case("cartesian", "DOM(K_3 box K_3) = 4", 4, solver.dom(k3k3).value))
     fig = k3_box_k3_orientation()
@@ -219,7 +219,7 @@ def _suite_cartesian(solver: Solver, seed: int) -> list[VerifyCase]:
 def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
     cases = []
     for n in (3, 4, 5, 6):
-        prism = cartesian(cycle(n), complete(2))[0]
+        prism = cartesian(cycle(n), complete(2))
         cases.append(_case("prism", f"DOM(C_{n} box K_2) = {n}", n, solver.dom(prism).value))
         cases.append(
             _case(
@@ -232,7 +232,7 @@ def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
     graphs = corpus.prism_corpus(seed=seed)
     violations = 0
     for G in graphs:
-        prism = cartesian(G, complete(2))[0]
+        prism = cartesian(G, complete(2))
         value = solver.dom(prism).value
         if not (max_induced_bipartite_order(G) <= value <= G.n):
             violations += 1
@@ -260,7 +260,7 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
         ("C_5", cycle(5), "empty_2", empty(2)),
     )
     for g_name, G, h_name, H in pairs:
-        product = lexicographic(G, H)[0]
+        product = lexicographic(G, H)
         value = solver.dom(product).value
         dom_g, dom_h = solver.dom(G).value, solver.dom(H).value
         low = independence_number(G) * dom_h
@@ -273,7 +273,7 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
                 value,
             )
         )
-    c5k2 = lexicographic(cycle(5), empty(2))[0]
+    c5k2 = lexicographic(cycle(5), empty(2))
     cases.append(
         _case(
             "lex",
@@ -303,7 +303,7 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
             gamma(scheme).value,
         )
     )
-    k122 = generalized_lexicographic(complete(3), [empty(1), empty(2), empty(2)])[0]
+    k122 = generalized_lexicographic(complete(3), [empty(1), empty(2), empty(2)])
     cases.append(
         _case(
             "lex",

@@ -69,8 +69,8 @@ def test_criterion_02_paths_and_hub_join():
 
 
 def test_criterion_03_k3_products():
-    ok = dom(cartesian(path(3), complete(3))[0]).value == 4
-    ok = ok and dom(cartesian(complete(3), complete(3))[0]).value == 4
+    ok = dom(cartesian(path(3), complete(3))).value == 4
+    ok = ok and dom(cartesian(complete(3), complete(3))).value == 4
     fig = k3_box_k3_orientation()
     ok = ok and gamma(fig).value == 4
     ok = ok and all(fig.out_degree(v) == 2 for v in range(9))
@@ -81,7 +81,7 @@ def test_criterion_03_k3_products():
 def test_criterion_04_prisms():
     ok = True
     for n in (3, 4, 5, 6):
-        ok = ok and dom(cartesian(cycle(n), complete(2))[0]).value == n
+        ok = ok and dom(cartesian(cycle(n), complete(2))).value == n
         ok = ok and gamma(prism_orientation(n)).value == n
     _report(4, ok, "DOM(C_n box K2)=n and rung orientation attains n for n=3..6")
 
@@ -90,7 +90,7 @@ def test_criterion_05_bip_sandwich():
     graphs = prism_corpus(count=50, seed=SEED)
     violations = 0
     for G in graphs:
-        value = dom(cartesian(G, complete(2))[0]).value
+        value = dom(cartesian(G, complete(2))).value
         if not (max_induced_bipartite_order(G) <= value <= G.n):
             violations += 1
         if is_bipartite(G)[0] and value != G.n:
@@ -105,7 +105,7 @@ def test_criterion_06_corona_theorem():
     checked = 0
     for G in (complete(1), path(2), path(3), complete(3)):
         for H in (complete(1), path(2)):
-            product = corona(G, H)[0]
+            product = corona(G, H)
             if product.m > 16:
                 continue
             expected = corona_dom(G, H)
@@ -174,13 +174,13 @@ def test_criterion_10_lexicographic_bounds():
         (cycle(5), empty(2)),
     )
     for G, H in pairs:
-        product = lexicographic(G, H)[0]
+        product = lexicographic(G, H)
         assert product.m <= 20
         value = dom(product).value
         low = independence_number(G) * dom(H).value
         high = min(dom(G).value * H.n, dom(H).value * G.n)
         ok = ok and low <= value <= high
-    c5_value = dom(lexicographic(cycle(5), empty(2))[0]).value
+    c5_value = dom(lexicographic(cycle(5), empty(2))).value
     ok = ok and 4 <= c5_value <= 5
     _report(10, ok, f"lex bounds hold on {len(pairs)} pairs;"
             f" DOM(C5 lex empty_2) = {c5_value} in [4, 5]")

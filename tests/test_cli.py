@@ -19,7 +19,7 @@ from oridom.solvers import gamma
 
 
 def test_expr_parser():
-    assert parse_graph_expr("cart(path:3,complete:3)").edges == cartesian(path(3), complete(3))[0].edges
+    assert parse_graph_expr("cart(path:3,complete:3)").edges == cartesian(path(3), complete(3)).edges
     assert parse_graph_expr("multi:1,2,2").edges == multipartite(1, 2, 2).edges
     assert parse_graph_expr("join(path:4,complete:1)").n == 5
     assert parse_graph_expr("corona(complete:3,path:2)").n == 9
@@ -49,9 +49,12 @@ def test_sizes_over_cap_are_usage_errors(tmp_path, capsys):
         ["construct", "multi:99999,99999"],
         ["orient", "--scheme", "prism", "--params", "n=5001"],
         ["orient", "--scheme", "acyclic_lex_cycle", "--params", "k=2,s=45"],
+        # the scheme orients corona(G, H), so it is refused like that construct expression
+        ["orient", "--scheme", "corona", "--params", "g=empty:10000,h=complete:1"],
     ):
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: graph too large") and err.count("\n") == 1
     # 6,666 vertices and 9,999 arcs: at the cap, still built
     assert main(["orient", "--scheme", "prism", "--params", "n=3333"]) == 0

@@ -24,7 +24,7 @@ def test_bounds_report_validates():
 
 
 def test_dom_bounds_examples():
-    blown = lexicographic(cycle(5), empty(2))[0]
+    blown = lexicographic(cycle(5), empty(2))
     report = dom_bounds(blown)
     assert (report.lower, report.upper) == (4, 5)
 
@@ -66,7 +66,7 @@ def test_corona_dom_matches_search():
     for G in (complete(1), path(2), complete(3)):
         for H in (complete(1), path(2)):
             expected = corona_dom(G, H)
-            assert dom(corona(G, H)[0]).value == expected
+            assert dom(corona(G, H)).value == expected
 
 
 def test_join_k1_check_examples():

@@ -42,7 +42,7 @@ from oridom.products import cartesian, lexicographic
 def test_independence_number_examples():
     assert independence_number(cycle(5)) == 2
     assert independence_number(multipartite(2, 2, 2)) == 2
-    p3k3 = cartesian(path(3), complete(3))[0]
+    p3k3 = cartesian(path(3), complete(3))
     # frozen from brute-force subset enumeration over 2^9 subsets
     assert brute_independence(p3k3) == 3
     assert independence_number(p3k3) == 3
@@ -51,7 +51,7 @@ def test_independence_number_examples():
 def test_matching_number_examples():
     assert matching_number(cycle(5)) == 2
     assert matching_number(complete(4)) == 2
-    blown_c5 = lexicographic(cycle(5), empty(2))[0]
+    blown_c5 = lexicographic(cycle(5), empty(2))
     # frozen from brute-force matching enumeration (Hamiltonian, 10 vertices)
     assert brute_matching(blown_c5) == 5
     assert matching_number(blown_c5) == 5
@@ -292,6 +292,55 @@ def test_independence_number_peels_long_paths():
     # a triangle with a pendant vertex at each corner: peeling alone empties it
     spiky = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
     assert independence_number(spiky) == brute_independence(spiky) == 3
+
+
+def test_independence_number_of_odd_cycles():
+    for n in range(3, 802, 2):
+        assert independence_number(cycle(n)) == n // 2
+
+
+def _cycles_with_pendant_paths(cycle_lengths, pendants):
+    """Disjoint cycles, then paths hung one by one on the given vertices.
+
+    pendants holds (vertex, path length) pairs; the path's first vertex is
+    joined to the existing vertex, and later vertices get the next ids.
+    """
+    edges, n = [], 0
+    for length in cycle_lengths:
+        edges += [(n + i, n + (i + 1) % length) for i in range(length)]
+        n += length
+    for at, length in pendants:
+        edges += [(at, n)] + [(n + i, n + i + 1) for i in range(length - 1)]
+        n += length
+    return build_graph(n, edges)
+
+
+def test_independence_number_of_odd_cycles_with_pendant_paths():
+    # even pendant paths peel away whole and leave their cycle intact
+    G = _cycles_with_pendant_paths((3, 5, 7, 301), [(0, 2), (3, 4), (8, 2), (8, 6), (20, 2)])
+    assert independence_number(G) == 1 + 2 + 3 + 150 + 1 + 2 + 1 + 3 + 1
+    # an odd pendant path takes its cycle vertex with it, leaving a path
+    G = _cycles_with_pendant_paths((5, 7), [(0, 1), (5, 3), (6, 2)])
+    assert independence_number(G) == brute_independence(G) == 3 + 3 + 2 + 1
+    assert independence_number(G) == max_independent_set_masks(list(G.adj), G.n).bit_count()
+
+
+@st.composite
+def cycles_with_pendant_paths(draw):
+    # at most 14 vertices, so the brute-force subset enumeration stays quick
+    lengths = draw(st.lists(st.integers(3, 5), min_size=1, max_size=2))
+    pendants, n = [], sum(lengths)
+    for _ in range(draw(st.integers(0, 2))):
+        length = draw(st.integers(1, 2))
+        pendants.append((draw(st.integers(0, n - 1)), length))
+        n += length
+    return _cycles_with_pendant_paths(lengths, pendants)
+
+
+@given(cycles_with_pendant_paths())
+@settings(max_examples=80, deadline=None)
+def test_independence_number_of_cycle_unions_matches_brute(G):
+    assert independence_number(G) == brute_independence(G)
 
 
 def test_mis_kernel_has_no_recursion_limit():

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import underlying_edges
 from oridom.graphs import Orientation, build_graph, complete, cycle, empty, multipartite, path
-from oridom.invariants import is_acyclic
+from oridom.invariants import is_acyclic, max_independent_set
 from oridom.orientations import (
     acyclic_lex_cycle_orientation,
     cartesian_orientation,
@@ -13,19 +15,20 @@ from oridom.orientations import (
     path_join_orientation,
     prism_orientation,
 )
-from oridom.products import cartesian, join, lexicographic
+from oridom.products import cartesian, corona, join, lexicographic
+from test_products import factor_pairs
 
 
 def test_every_scheme_covers_its_base():
     cases = [
         (path_join_orientation(4), join(path(4), complete(1))),
         (path_join_orientation(8), join(path(8), complete(1))),
-        (prism_orientation(3), cartesian(cycle(3), complete(2))[0]),
-        (prism_orientation(6), cartesian(cycle(6), complete(2))[0]),
-        (k3_box_k3_orientation(), cartesian(complete(3), complete(3))[0]),
+        (prism_orientation(3), cartesian(cycle(3), complete(2))),
+        (prism_orientation(6), cartesian(cycle(6), complete(2))),
+        (k3_box_k3_orientation(), cartesian(complete(3), complete(3))),
         (k222_orientation(), multipartite(2, 2, 2)),
-        (acyclic_lex_cycle_orientation(2, 2), lexicographic(cycle(5), empty(2))[0]),
-        (acyclic_lex_cycle_orientation(3, 4), lexicographic(cycle(7), empty(4))[0]),
+        (acyclic_lex_cycle_orientation(2, 2), lexicographic(cycle(5), empty(2))),
+        (acyclic_lex_cycle_orientation(3, 4), lexicographic(cycle(7), empty(4))),
     ]
     for digraph, base in cases:
         assert underlying_edges(digraph) == base.edges
@@ -120,7 +123,7 @@ def test_corona_orientation_blocks():
     hub_graph = join(H, complete(1))
     h = Orientation(hub_graph, 0b010)
     D = corona_orientation(G, H, g, h)
-    assert underlying_edges(D) == __import__("oridom").products.corona(G, H)[0].edges
+    assert underlying_edges(D) == __import__("oridom").products.corona(G, H).edges
     # G edges follow g
     for i in range(G.m):
         assert g.arc(i) in D.arcs
@@ -146,7 +149,7 @@ def test_corona_orientation_shape_mismatch():
 def test_cartesian_orientation_shields_layers():
     G, H = path(3), complete(3)
     D = cartesian_orientation(Orientation(G, 0), Orientation(H, 0), (1,))
-    base = cartesian(G, H)[0]
+    base = cartesian(G, H)
     assert underlying_edges(D) == base.edges
     # no arc enters the layer V(G) x {1} from outside it
     layer = {g * H.n + 1 for g in range(G.n)}
@@ -163,7 +166,7 @@ def test_cartesian_orientation_rejects_dependent_set():
 def test_lex_orientation_shields_copies():
     G, H = cycle(5), empty(2)
     D = lex_orientation(G, (0, 2), Orientation(H, 0))
-    base = lexicographic(G, H)[0]
+    base = lexicographic(G, H)
     assert underlying_edges(D) == base.edges
     for a_vertex in (0, 2):
         copy = {a_vertex * H.n + j for j in range(H.n)}
@@ -224,3 +227,61 @@ def test_cartesian_orientation_attains_lower_bound():
     h_opt = dom(empty(2)).witness
     blown = lex_orientation(cycle(5), (0, 2), h_opt)
     assert gamma(blown).value >= 4  # alpha(C_5) * DOM(empty_2)
+
+
+def test_composite_schemes_refuse_products_over_size_cap():
+    with pytest.raises(ValueError, match="graph too large"):  # 300 vertices, 15,050 edges
+        cartesian_orientation(Orientation(path(3), 0), Orientation(complete(100), 0), ())
+    with pytest.raises(ValueError, match="graph too large"):  # 202 vertices, 10,201 edges
+        lex_orientation(path(2), (), Orientation(empty(101), 0))
+    with pytest.raises(ValueError, match="graph too large"):  # 20,000 vertices
+        corona_orientation(empty(10_000), complete(1), Orientation(empty(10_000), 0), Orientation(complete(2), 0))
+
+
+def _random_orientation(data, G):
+    return Orientation(G, data.draw(st.integers(0, (1 << G.m) - 1)))
+
+
+def _prefix(data, vertices):
+    return vertices[: data.draw(st.integers(0, len(vertices)))]
+
+
+@given(factor_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_composite_schemes_orient_the_product(pair, data):
+    G, H = pair
+    g, h = _random_orientation(data, G), _random_orientation(data, H)
+    g_arcs, h_arcs = set(g.to_digraph().arcs), set(h.to_digraph().arcs)
+
+    A = _prefix(data, max_independent_set(H))
+    D = cartesian_orientation(g, h, A)
+    assert underlying_edges(D) == cartesian(G, H).edges
+    for u, v in D.arcs:
+        (gu, hu), (gv, hv) = divmod(u, H.n), divmod(v, H.n)
+        if hu == hv:  # a G-layer edge, A-fibres included
+            assert (gu, gv) in g_arcs
+        elif hu in A or hv in A:  # a fibre edge touching an A-fibre leaves it
+            assert hu in A and hv not in A
+        else:
+            assert (hu, hv) in h_arcs
+
+    A = _prefix(data, max_independent_set(G))
+    D = lex_orientation(G, A, h)
+    assert underlying_edges(D) == lexicographic(G, H).edges
+    for u, v in D.arcs:
+        (gu, hu), (gv, hv) = divmod(u, H.n), divmod(v, H.n)
+        if gu == gv:
+            assert (hu, hv) in h_arcs
+        elif gu in A or gv in A:  # a cross edge touching an A-copy leaves it
+            assert gu in A and gv not in A
+        else:
+            assert gu < gv
+
+    hub = _random_orientation(data, join(H, complete(1)))
+    D = corona_orientation(G, H, g, hub)
+    assert underlying_edges(D) == corona(G, H).edges
+    blocks = set()
+    for u in range(G.n):  # block u is hub relabelled: H's vertex x to n(G) + u*n(H) + x, the hub to u
+        place = [G.n + u * H.n + x for x in range(H.n)] + [u]
+        blocks |= {(place[a], place[b]) for a, b in hub.to_digraph().arcs}
+    assert set(D.arcs) == g_arcs | blocks

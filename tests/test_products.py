@@ -13,39 +13,41 @@ from oridom.products import (
 
 
 def test_cartesian_examples():
-    G, vmap = cartesian(path(3), complete(3))
+    G = cartesian(path(3), complete(3))
     assert G.n == 9 and G.m == 15  # 3*3 + 3*2
-    assert vmap.forward(2, 1) == 7 and vmap.inverse(7) == (2, 1)
+    # (g, h) is vertex g*n(H) + h: (2, 1) = 7 meets its fibre (2, 0), (2, 2) and its layer (1, 1)
+    assert G.adj[7] == 1 << 6 | 1 << 8 | 1 << 4
 
     H = cycle(4)
-    K1H, _ = cartesian(complete(1), H)
+    K1H = cartesian(complete(1), H)
     assert K1H.edges == H.edges
 
-    prism, _ = cartesian(cycle(4), complete(2))
+    prism = cartesian(cycle(4), complete(2))
     assert prism.n == 8 and prism.m == 12
 
 
 def test_lexicographic_examples():
-    blown, _ = lexicographic(cycle(5), empty(2))
+    blown = lexicographic(cycle(5), empty(2))
     assert blown.n == 10 and blown.m == 20  # 4*5 + 0
 
-    k9, _ = lexicographic(complete(3), complete(3))
+    k9 = lexicographic(complete(3), complete(3))
     assert k9.edges == complete(9).edges
 
-    same, _ = lexicographic(path(4), complete(1))
+    same = lexicographic(path(4), complete(1))
     assert same.edges == path(4).edges
 
 
 def test_generalized_lexicographic_examples():
-    k122, blocks = generalized_lexicographic(complete(3), [empty(1), empty(2), empty(2)])
+    k122 = generalized_lexicographic(complete(3), [empty(1), empty(2), empty(2)])
     assert k122.edges == multipartite(1, 2, 2).edges
-    assert list(blocks.block(1)) == [1, 2]
+    # copies sit consecutively in G's vertex order: the copy of empty(2) for vertex 1 is {1, 2}
+    assert k122.adj[1] == k122.adj[2] == 1 << 0 | 1 << 3 | 1 << 4
 
     G = cycle(5)
-    same, _ = generalized_lexicographic(G, [complete(1)] * 5)
+    same = generalized_lexicographic(G, [complete(1)] * 5)
     assert same.edges == G.edges
 
-    k23, _ = generalized_lexicographic(path(2), [empty(2), empty(3)])
+    k23 = generalized_lexicographic(path(2), [empty(2), empty(3)])
     assert k23.edges == multipartite(2, 3).edges
 
     with pytest.raises(ValueError, match="one substituted graph per vertex"):
@@ -53,15 +55,16 @@ def test_generalized_lexicographic_examples():
 
 
 def test_corona_examples():
-    four_path, blocks = corona(path(2), complete(1))
+    four_path = corona(path(2), complete(1))
     assert four_path.n == 4 and four_path.m == 3
     assert sorted(four_path.degree(v) for v in range(4)) == [1, 1, 2, 2]
-    assert list(blocks.block(0)) == [2] and list(blocks.block(1)) == [3]
+    # the copy for u starts at n(G) + u*n(H): leaf 2 hangs on 0 and leaf 3 on 1
+    assert four_path.edges == ((0, 1), (0, 2), (1, 3))
 
-    big, _ = corona(complete(3), path(2))
+    big = corona(complete(3), path(2))
     assert big.n == 9 and big.m == 12  # 3 + 3*(1+2)
 
-    hub, _ = corona(complete(1), path(3))
+    hub = corona(complete(1), path(3))
     joined = join(path(3), complete(1))
     relabel = {0: 3, 1: 0, 2: 1, 3: 2}  # corona root first; join hub last
     remapped = sorted(
@@ -82,7 +85,7 @@ def test_products_refuse_results_over_size_cap():
     ):
         with pytest.raises(ValueError, match="graph too large"):
             product(G, H)
-    assert corona(big, empty(99))[0].n == 10_000
+    assert corona(big, empty(99)).n == 10_000
     assert join(empty(100), empty(100)).m == 10_000
 
 
@@ -93,7 +96,7 @@ def test_generalized_lexicographic_refuses_results_over_size_cap():
     ):
         with pytest.raises(ValueError, match="graph too large"):
             generalized_lexicographic(G, hs)
-    assert generalized_lexicographic(path(2), [empty(100), empty(100)])[0].m == 10_000
+    assert generalized_lexicographic(path(2), [empty(100), empty(100)]).m == 10_000
 
 
 def test_join_examples():
@@ -127,14 +130,14 @@ def factor_pairs(draw):
 @settings(max_examples=60, deadline=None)
 def test_count_formulas(pair):
     G, H = pair
-    cart, _ = cartesian(G, H)
+    cart = cartesian(G, H)
     assert cart.n == G.n * H.n
     assert cart.m == G.n * H.m + H.n * G.m
 
-    lex, _ = lexicographic(G, H)
+    lex = lexicographic(G, H)
     assert lex.m == H.n * H.n * G.m + G.n * H.m
 
-    cor, _ = corona(G, H)
+    cor = corona(G, H)
     assert cor.n == G.n * (1 + H.n)
     assert cor.m == G.m + G.n * (H.m + H.n)
 
@@ -146,8 +149,8 @@ def test_count_formulas(pair):
 @settings(max_examples=40, deadline=None)
 def test_cartesian_spans_lexicographic(pair):
     G, H = pair
-    cart, _ = cartesian(G, H)
-    lex, _ = lexicographic(G, H)
+    cart = cartesian(G, H)
+    lex = lexicographic(G, H)
     assert set(cart.edges) <= set(lex.edges)
 
 
@@ -155,8 +158,8 @@ def test_cartesian_spans_lexicographic(pair):
 @settings(max_examples=40, deadline=None)
 def test_generalized_matches_plain_lexicographic(pair):
     G, H = pair
-    lex, _ = lexicographic(G, H)
-    gen, _ = generalized_lexicographic(G, [H] * G.n)
+    lex = lexicographic(G, H)
+    gen = generalized_lexicographic(G, [H] * G.n)
     assert gen.edges == lex.edges
     # lexicographic is built by generalized_lexicographic, so also check the definition
     by_definition = {
@@ -169,9 +172,9 @@ def test_generalized_matches_plain_lexicographic(pair):
 
 def test_corona_block_is_hub_join():
     G, H = complete(3), path(2)
-    product, blocks = corona(G, H)
+    product = corona(G, H)
     for u in range(G.n):
-        block = list(blocks.block(u))
+        block = range(G.n + u * H.n, G.n + (u + 1) * H.n)
         assert all(product.has_edge(u, b) for b in block)
         inner = [
             (a, b)

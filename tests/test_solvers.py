@@ -156,7 +156,7 @@ def test_oracle_matches_brute_dom(G):
 @pytest.mark.parametrize("H", [complete(1), path(2)], ids=["K_1", "P_2"])
 @pytest.mark.parametrize("G", [complete(1), path(2), path(3), complete(3)], ids=["K_1", "P_2", "P_3", "K_3"])
 def test_oracle_matches_brute_dom_on_coronas(G, H):
-    C = corona(G, H)[0]
+    C = corona(G, H)
     assert dom_oracle(C) == brute_dom(C)
 
 
@@ -495,7 +495,7 @@ def test_dom_does_not_depend_on_grouping(G):
     "G, expected, exact_evals",
     [
         (complete(7), (3, 85298, 2097152), 3),
-        (cartesian(complete(3), complete(3))[0], (4, 1322, 262144), 2),
+        (cartesian(complete(3), complete(3)), (4, 1322, 262144), 2),
         (multipartite(1, 18), (18, 131071, 131072), 1),
         (multipartite(2, 2, 4), (4, 489244, 489245), 1),
         (multipartite(1, 2, 6), (6, 515964, 515965), 1),
