@@ -34,7 +34,6 @@ from .invariants import (
     is_bipartite,
     matching_number,
     max_independent_set,
-    max_induced_bipartite,
     max_induced_bipartite_order,
     max_matching,
     sandwich,

@@ -53,14 +53,16 @@ def _signature(path: Path) -> tuple[int, int, int, int] | None:
 
 def _read_index(path: Path) -> dict[tuple[str, str], int]:
     index = {}
-    with open(path, encoding="utf-8") as handle:
+    # a byte that is not UTF-8 decodes to a lone surrogate, so its line is
+    # not ASCII and is skipped like any other corrupt line
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            # isdecimal, unlike isdigit, admits only what int() accepts
-            if len(fields) != 3 or not fields[1].removeprefix("-").isdecimal():
+            # oridom writes only ASCII lines, and int() accepts any ASCII decimal string
+            if not line.isascii() or len(fields) != 3 or not fields[1].removeprefix("-").isdecimal():
                 warnings.warn(f"skipping corrupt cache line {lineno}: {line!r}", stacklevel=3)
                 continue
             index[fields[0], fields[2]] = int(fields[1])

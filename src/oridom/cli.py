@@ -4,6 +4,12 @@ Subcommands: construct, orient, dom, gamma, rho, bounds, verify, props.
 Results print as key-value lines; verify/props print a PASS/FAIL table
 (or tab-separated lines with --porcelain). Exit codes: 0 all pass or
 skipped, 1 any failure, 2 usage error.
+
+Commands do their work and raise; main is the one place that reports. A
+ValueError (a malformed file or expression, a graph over SIZE_CAP, bytes
+that are not UTF-8), an OSError (a missing input, an unwritable --out or
+cache file) or a CapExceeded from any command ends it with one
+``error: <message>`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -15,17 +21,11 @@ import sys
 from .cache import DomCache
 from .corpus import DEFAULT_SEED
 from .domsearch import DEFAULT_EDGE_CAP, Solver
-from .exprs import ExprError, parse_graph_expr
+from .exprs import parse_graph_expr
 from .formulas import dom_bounds
 from .graphs import CapExceeded, Orientation, complete, family
 from .invariants import max_independent_set
-from .io import (
-    GraphFormatError,
-    format_digraph,
-    format_graph,
-    load_digraph,
-    load_graph,
-)
+from .io import format_digraph, format_graph, load_digraph, load_graph
 from .orientations import (
     SELF_CONTAINED_SCHEMES,
     cartesian_orientation,
@@ -66,74 +66,55 @@ def _parse_params(raw: str | None) -> dict[str, str]:
     return params
 
 
+def _param(params: dict[str, str], name: str, key: str) -> str:
+    if key not in params:
+        raise ValueError(f"scheme {name!r} needs parameter {key!r}")
+    return params[key]
+
+
 def _cmd_construct(args) -> int:
-    try:
-        graph = parse_graph_expr(args.expr)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write(format_graph(graph), args.out)
+    _write(format_graph(parse_graph_expr(args.expr)), args.out)
     return 0
 
 
 def _cmd_orient(args) -> int:
     name = args.scheme.removesuffix("_orientation")
-    try:
-        params = _parse_params(args.params)
-        if name in SELF_CONTAINED_SCHEMES:
-            builder, wanted = SELF_CONTAINED_SCHEMES[name]
-            digraph = builder(*(int(params[key]) for key in wanted))
-        else:
-            G = load_graph(args.base) if args.base else family(params["g"])
-            H = family(params["h"])
-            solver = Solver(args.max_edges)
-            if name == "corona":
-                g_opt = solver.dom(G).witness
-                h_opt = solver.dom(join(H, complete(1))).witness
-                digraph = corona_orientation(G, H, g_opt, h_opt)
-            elif name == "cartesian":
-                g_opt = solver.dom(G).witness
-                digraph = cartesian_orientation(
-                    g_opt, Orientation(H, 0), max_independent_set(H)
-                )
-            elif name == "lex":
-                h_opt = solver.dom(H).witness
-                digraph = lex_orientation(G, max_independent_set(G), h_opt)
-            else:
-                print(f"error: unknown scheme {name!r}", file=sys.stderr)
-                return 2
-    except KeyError as exc:
-        print(f"error: scheme {name!r} needs parameter {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = _parse_params(args.params)
+    if name in SELF_CONTAINED_SCHEMES:
+        builder, wanted = SELF_CONTAINED_SCHEMES[name]
+        digraph = builder(*(int(_param(params, name, key)) for key in wanted))
+    else:
+        G = load_graph(args.base) if args.base else family(_param(params, name, "g"))
+        H = family(_param(params, name, "h"))
+        solver = Solver(args.max_edges)
+        if name == "corona":
+            g_opt = solver.dom(G).witness
+            h_opt = solver.dom(join(H, complete(1))).witness
+            digraph = corona_orientation(G, H, g_opt, h_opt)
+        elif name == "cartesian":
+            g_opt = solver.dom(G).witness
+            digraph = cartesian_orientation(g_opt, Orientation(H, 0), max_independent_set(H))
+        else:  # lex; argparse's choices admit no other name
+            h_opt = solver.dom(H).witness
+            digraph = lex_orientation(G, max_independent_set(G), h_opt)
     _write(format_digraph(digraph), args.out)
     return 0
 
 
 def _cmd_dom(args) -> int:
-    try:
-        graph = load_graph(args.graph)
-        cache = None if args.no_cache else DomCache(args.cache_dir)
-        cached = cache.lookup(graph) if cache else None
-        if cache and cached is None:  # an unusable cache directory fails before the scan
-            cache.directory.mkdir(parents=True, exist_ok=True)
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph = load_graph(args.graph)
+    cache = None if args.no_cache else DomCache(args.cache_dir)
+    cached = cache.lookup(graph) if cache else None
     if cached is not None:
         print(f"value {cached}")
         print("witness cached")
         print("explored 0")
         return 0
+    if cache:  # an unusable cache directory fails before the scan
+        cache.directory.mkdir(parents=True, exist_ok=True)
     result = Solver(args.max_edges).dom(graph)
-    if cache:
-        try:
-            cache.store(graph, result.value)
-        except OSError as exc:  # say, a dangling symlink where the cache file belongs
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if cache:  # before any print, so a failed append prints no result
+        cache.store(graph, result.value)
     print(f"value {result.value}")
     print(f"witness {result.witness.bits}")
     print(f"explored {result.nodes_explored}")
@@ -152,12 +133,7 @@ def _cmd_rho(args) -> int:
 
 
 def _digraph_value(args, solver) -> int:
-    try:
-        digraph = load_digraph(args.digraph)
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = solver(digraph)
+    result = solver(load_digraph(args.digraph))
     print(f"value {result.value}")
     print(f"witness {' '.join(map(str, result.witness))}")
     print(f"explored {result.nodes_explored}")
@@ -165,12 +141,7 @@ def _digraph_value(args, solver) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        graph = load_graph(args.graph)
-    except (GraphFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = dom_bounds(graph)
+    report = dom_bounds(load_graph(args.graph))
     print(f"lower {report.lower}")
     print(f"upper {report.upper}")
     for rule, value in sorted(report.sources.items()):
@@ -282,7 +253,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
         return args.func(args)
-    except CapExceeded as exc:  # a search refused over its size cap, from any command
+    except (ValueError, OSError, CapExceeded) as exc:  # the one usage-error path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

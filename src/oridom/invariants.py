@@ -1,14 +1,17 @@
 """Classical invariants consumed by the domination bounds.
 
 Matchings come from Edmonds' blossom algorithm, O(n^3). The independence
-number peels vertices of degree <= 1 (some maximum independent set holds
-each), then takes n - nu on a bipartite remainder (Konig), the sum of
-|C| // 2 over the cycles C of a 2-regular remainder, and an exact branch
-and bound otherwise. sandwich(G) gives both ends of
-alpha <= DOM <= n - nu from one matching. One two-colouring serves
-is_bipartite and max_induced_bipartite. All searches are deterministic:
-ties break on canonical vertex / edge order, so witnesses are reproducible
-across runs.
+number first applies the reductions that keep alpha exact: a vertex whose
+neighbours form a clique (degree <= 1, or degree 2 in a triangle) lies in
+some maximum independent set, so it is taken and its closed neighbourhood
+removed; a degree-2 vertex v with non-adjacent neighbours a, b is folded
+with them into one vertex adjacent to N(a) | N(b) - v, which lowers alpha
+by exactly 1. A remainder of minimum degree 3 takes n - nu if bipartite
+(Konig), and an exact branch and bound otherwise. sandwich(G) gives both
+ends of alpha <= DOM <= n - nu from one matching. One two-colouring check
+serves is_bipartite and max_induced_bipartite_order. All searches are
+deterministic: ties break on canonical vertex / edge order, so witnesses
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .graphs import CapExceeded, Digraph, UndirectedGraph, _iter_bits, induced_subgraph
+from .graphs import CapExceeded, Digraph, UndirectedGraph, _iter_bits, build_graph
 
 BIP_VERTEX_CAP = 20
 
@@ -69,35 +72,34 @@ def max_independent_set(G: UndirectedGraph) -> tuple[int, ...]:
 
 
 def independence_number(G: UndirectedGraph) -> int:
-    """alpha(G): peel degree <= 1; n - nu if bipartite, sum |C| // 2 if 2-regular, else search."""
-    adj, alive, taken = G.adj, (1 << G.n) - 1, 0
-    stack = list(range(G.n))
+    """alpha(G): the degree <= 2 reductions; n - nu if the rest is bipartite, else search."""
+    adj, alive, taken = list(G.adj), (1 << G.n) - 1, 0
+    stack = list(range(G.n))  # every vertex whose degree fell since it was last looked at
     while stack:
         v = stack.pop()
         near = adj[v] & alive
-        if alive >> v & 1 and near.bit_count() <= 1:
+        if not alive >> v & 1 or near.bit_count() > 2:
+            continue
+        taken += 1
+        a, b = (near & -near).bit_length() - 1, near.bit_length() - 1
+        if near.bit_count() < 2 or adj[a] >> b & 1:  # N(v) is a clique: take v
             alive &= ~(near | 1 << v)
-            taken += 1
-            if near:  # only the removed neighbour's neighbours lose degree
-                stack += _iter_bits(adj[near.bit_length() - 1] & alive)
+            for u in _iter_bits(near):
+                stack += _iter_bits(adj[u] & alive)
+        else:  # fold v and b into a, which keeps the neighbours of both
+            alive &= ~(1 << v | 1 << b)
+            stack += _iter_bits(adj[a] & adj[b] & alive)  # the common ones lose one
+            stack.append(a)
+            adj[a] = (adj[a] | adj[b]) & alive
+            for u in _iter_bits(adj[b] & alive):
+                adj[u] |= 1 << a
     if not alive:
         return taken
-    rest = induced_subgraph(G, _iter_bits(alive))
-    if is_bipartite(rest)[0]:
+    index = {v: i for i, v in enumerate(_iter_bits(alive))}
+    edges = [(index[u], index[w]) for u in index for w in _iter_bits(adj[u] & alive) if u < w]
+    rest = build_graph(len(index), edges)
+    if is_bipartite(rest):
         return taken + rest.n - matching_number(rest)
-    if all(rest.degree(v) == 2 for v in range(rest.n)):  # disjoint cycles
-        left = (1 << rest.n) - 1
-        while left:
-            cycle = frontier = left & -left
-            while frontier:
-                reach = 0
-                for v in _iter_bits(frontier):
-                    reach |= rest.adj[v]
-                frontier = reach & ~cycle
-                cycle |= frontier
-            taken += cycle.bit_count() // 2
-            left ^= cycle
-        return taken
     return taken + max_independent_set_masks(list(rest.adj), rest.n).bit_count()
 
 
@@ -169,21 +171,16 @@ def sandwich(G: UndirectedGraph) -> tuple[int, int, bool]:
     independent-set search is skipped there.
     """
     upper = G.n - matching_number(G)
-    bipartite = is_bipartite(G)[0]
+    bipartite = is_bipartite(G)
     return (upper if bipartite else independence_number(G)), upper, bipartite
 
 
-def is_bipartite(G: UndirectedGraph):
-    """(flag, (left, right)) — two-coloring when bipartite, else (False, None)."""
-    split = _two_colouring(G.adj, (1 << G.n) - 1)
-    return split is not None, split
+def is_bipartite(G: UndirectedGraph) -> bool:
+    return _two_colourable(G.adj, (1 << G.n) - 1)
 
 
-def _two_colouring(adj, mask: int):
-    """Two-colour the subgraph induced by mask; None when an odd cycle appears.
-
-    The lowest vertex of each component goes left; sides are sorted.
-    """
+def _two_colourable(adj, mask: int) -> bool:
+    """Whether the subgraph induced by mask has no odd cycle."""
     colour = [-1] * len(adj)
     for start in _iter_bits(mask):
         if colour[start] != -1:
@@ -197,14 +194,12 @@ def _two_colouring(adj, mask: int):
                     colour[u] = 1 - colour[v]
                     stack.append(u)
                 elif colour[u] == colour[v]:
-                    return None
-    left = tuple(v for v in _iter_bits(mask) if colour[v] == 0)
-    right = tuple(v for v in _iter_bits(mask) if colour[v] == 1)
-    return left, right
+                    return False
+    return True
 
 
-def max_induced_bipartite(G: UndirectedGraph, cap: int = BIP_VERTEX_CAP):
-    """Largest vertex subset inducing a bipartite subgraph, with bipartition.
+def max_induced_bipartite_order(G: UndirectedGraph, cap: int = BIP_VERTEX_CAP) -> int:
+    """Order of the largest vertex subset inducing a bipartite subgraph.
 
     Subsets are enumerated in decreasing size, first hit wins; the default
     cap keeps the enumeration at desk scale.
@@ -216,15 +211,9 @@ def max_induced_bipartite(G: UndirectedGraph, cap: int = BIP_VERTEX_CAP):
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            split = _two_colouring(G.adj, mask)
-            if split is not None:
-                return subset, split
+            if _two_colourable(G.adj, mask):
+                return size
     raise AssertionError("unreachable: single vertex is bipartite")
-
-
-def max_induced_bipartite_order(G: UndirectedGraph, cap: int = BIP_VERTEX_CAP) -> int:
-    subset, _ = max_induced_bipartite(G, cap)
-    return len(subset)
 
 
 def is_acyclic(D: Digraph):

@@ -236,7 +236,7 @@ def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
         value = solver.dom(prism).value
         if not (max_induced_bipartite_order(G) <= value <= G.n):
             violations += 1
-        if is_bipartite(G)[0] and value != G.n:
+        if is_bipartite(G) and value != G.n:
             violations += 1
     cases.append(
         _case(
@@ -397,7 +397,7 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
         alpha = independence_number(G)
         if not (alpha <= value <= G.n - matching_number(G)):
             sandwich_bad += 1
-        if is_bipartite(G)[0] and value != alpha:
+        if is_bipartite(G) and value != alpha:
             sandwich_bad += 1
     cases.append(
         _case("props", "independence <= DOM <= order - matching, equality when bipartite", 0, sandwich_bad)

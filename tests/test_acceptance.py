@@ -93,7 +93,7 @@ def test_criterion_05_bip_sandwich():
         value = dom(cartesian(G, complete(2))).value
         if not (max_induced_bipartite_order(G) <= value <= G.n):
             violations += 1
-        if is_bipartite(G)[0] and value != G.n:
+        if is_bipartite(G) and value != G.n:
             violations += 1
     _report(5, violations == 0,
             f"bip(G) <= DOM(G box K2) <= n(G), bipartite equality, on 50 graphs"

@@ -311,6 +311,48 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "path:3", "--out", "{missing}/x.ug"],
+        ["orient", "--scheme", "prism", "--params", "n=3", "--out", "{missing}/x.dg"],
+        ["dom", "--graph", "{bad}.ug", "--no-cache"],
+        ["bounds", "--graph", "{bad}.ug"],
+        ["gamma", "--digraph", "{bad}.dg"],
+        ["rho", "--digraph", "{bad}.dg"],
+        ["orient", "--scheme", "lex", "--base", "{bad}.ug", "--params", "h=empty:2"],
+        ["dom", "--graph", "{dir}", "--no-cache"],
+    ],
+    ids=["construct-out", "orient-out", "dom-bytes", "bounds-bytes", "gamma-bytes",
+         "rho-bytes", "orient-base-bytes", "dom-directory"],
+)
+def test_bad_file_or_out_path_is_one_error_line(argv, tmp_path, capsys):
+    # each input file holds one byte that is not UTF-8
+    (tmp_path / "bad.ug").write_bytes(b"ug 2 1\n0 1\xff\n")
+    (tmp_path / "bad.dg").write_bytes(b"dg 2 1\n0 1\xff\n")
+    places = {"missing": tmp_path / "missing", "bad": tmp_path / "bad", "dir": tmp_path}
+    assert main([arg.format(**places) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_undecodable_cache_line_is_skipped(tmp_path, capsys):
+    graph_file = tmp_path / "g.ug"
+    graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
+    cache = DomCache(tmp_path / "cache")
+    cache.store(cycle(5), 3)
+    with open(cache.path, "ab") as handle:
+        handle.write(b"abc\xff\t1\t1\n")
+    with pytest.warns(UserWarning, match="corrupt cache line 2") as record:
+        assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache.directory)]) == 0
+    assert len(record) == 1
+    assert capsys.readouterr().out == "value 3\nwitness cached\nexplored 0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.lookup(cycle(5)) == 3
+
+
 def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     target = tmp_path / "g.ug"

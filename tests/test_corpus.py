@@ -19,7 +19,7 @@ def test_trees_are_trees():
         assert len({_tree_canon(n, list(T.edges)) for T in trees}) == len(trees)
         for T in trees:
             assert T.n == n and T.m == n - 1
-            assert is_bipartite(T)[0]
+            assert is_bipartite(T)
             # connected: BFS from 0 reaches everything
             seen = {0}
             frontier = [0]

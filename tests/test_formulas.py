@@ -107,11 +107,11 @@ def test_multipartite_bounds_contain_search_value():
 def test_vizing_like_examples():
     check = vizing_like_check(complete(3), complete(3))
     assert (check.dom_product, check.dom_factor_product, check.holds) == (4, 4, True)
-    assert not is_bipartite(complete(3))[0]  # the inequality is not guaranteed here
+    assert not is_bipartite(complete(3))  # the inequality is not guaranteed here
 
     check = vizing_like_check(path(3), complete(3))
     assert (check.dom_product, check.dom_factor_product, check.holds) == (4, 4, True)
-    assert is_bipartite(path(3))[0]  # a bipartite factor guarantees the inequality
+    assert is_bipartite(path(3))  # a bipartite factor guarantees the inequality
 
     check = vizing_like_check(path(2), path(2))
     assert (check.dom_product, check.dom_factor_product, check.holds) == (2, 1, True)

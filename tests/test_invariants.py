@@ -30,7 +30,6 @@ from oridom.invariants import (
     matching_number,
     max_independent_set,
     max_independent_set_masks,
-    max_induced_bipartite,
     max_induced_bipartite_order,
     max_matching,
     sandwich,
@@ -66,12 +65,9 @@ def test_bip_examples():
 
 
 def test_bip_witness_is_bipartition():
-    subset, (left, right) = max_induced_bipartite(cycle(5))
-    assert len(subset) == 4
-    assert set(left) | set(right) == set(subset)
-    G = cycle(5)
-    assert not any(G.has_edge(u, v) for u in left for v in left if u != v)
-    assert not any(G.has_edge(u, v) for u in right for v in right if u != v)
+    for G in (cycle(5), cycle(6), complete(4), lexicographic(cycle(5), empty(2))):
+        assert max_induced_bipartite_order(G) == brute_bip(G)
+        assert is_bipartite(G) == (brute_bip(G) == G.n)
 
 
 def test_bip_cap():
@@ -81,10 +77,11 @@ def test_bip_cap():
 
 
 def test_is_bipartite_examples():
-    assert is_bipartite(cycle(6))[0]
-    assert not is_bipartite(cycle(5))[0]
-    flag, (left, right) = is_bipartite(complete(1))
-    assert flag and (left, right) == ((0,), ())
+    assert is_bipartite(cycle(6)) is True
+    assert is_bipartite(cycle(5)) is False
+    assert is_bipartite(complete(1)) is True
+    for G in (cycle(5), cycle(6), complete(1), path(4)):
+        assert is_bipartite(G) == (brute_bip(G) == G.n)
 
 
 def _is_directed_cycle(D, witness):
@@ -137,7 +134,7 @@ def small_graphs(draw, max_n=7):
 @settings(max_examples=60, deadline=None)
 def test_gallai_identities(G):
     alpha, nu = independence_number(G), matching_number(G)
-    bip, bipartite = max_induced_bipartite_order(G), is_bipartite(G)[0]
+    bip, bipartite = max_induced_bipartite_order(G), is_bipartite(G)
     # alpha + beta = n: a maximum independent set's complement covers every edge
     independent = set(max_independent_set(G))
     assert len(independent) == alpha
@@ -163,20 +160,14 @@ def test_gallai_identities(G):
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_sandwich_matches_brute(G):
-    assert sandwich(G) == (brute_independence(G), G.n - brute_matching(G), is_bipartite(G)[0])
+    assert sandwich(G) == (brute_independence(G), G.n - brute_matching(G), is_bipartite(G))
 
 
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_two_colourings_are_proper(G):
-    flag, split = is_bipartite(G)
-    subset, (left, right) = max_induced_bipartite(G)
-    assert sorted(left + right) == sorted(subset)
-    assert not any(G.has_edge(u, v) for side in (left, right) for u in side for v in side)
-    if flag:
-        assert split == (left, right) and subset == tuple(range(G.n))
-    else:
-        assert split is None and len(subset) < G.n
+    assert is_bipartite(G) == (brute_bip(G) == G.n)
+    assert max_induced_bipartite_order(G) == brute_bip(G)
 
 
 @st.composite
@@ -287,7 +278,7 @@ def test_blossom_matches_brute_matching(G):
 def test_independence_number_peels_long_paths():
     assert independence_number(path(200)) == 100
     near_tree = build_graph(300, [*path(300).edges, (0, 2)])
-    assert not is_bipartite(near_tree)[0]
+    assert not is_bipartite(near_tree)
     assert independence_number(near_tree) == 150
     # a triangle with a pendant vertex at each corner: peeling alone empties it
     spiky = build_graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
@@ -343,6 +334,33 @@ def test_independence_number_of_cycle_unions_matches_brute(G):
     assert independence_number(G) == brute_independence(G)
 
 
+def test_independence_number_of_odd_cycles_with_a_chord():
+    # an odd cycle has a maximum independent set avoiding any one vertex, so
+    # the chord {0, n // 2} keeps alpha at n // 2; no vertex peels here, and
+    # the degree-2 folds reduce the graph to nothing
+    for n in (201, 401, 801):
+        G = build_graph(n, [*cycle(n).edges, (0, n // 2)])
+        assert not is_bipartite(G)
+        assert independence_number(G) == n // 2
+
+
+@st.composite
+def cycles_joined_by_chords(draw):
+    # at most 14 vertices, so the brute-force subset enumeration stays quick
+    G = draw(cycles_with_pendant_paths())
+    pairs = [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if not G.has_edge(u, v)]
+    if not pairs:  # a lone triangle has room for no chord
+        return G
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=3))
+    return build_graph(G.n, [*G.edges, *chords])
+
+
+@given(cycles_joined_by_chords())
+@settings(max_examples=80, deadline=None)
+def test_independence_number_with_chords_matches_brute(G):
+    assert independence_number(G) == brute_independence(G)
+
+
 def test_mis_kernel_has_no_recursion_limit():
     # the include branch runs 1,001 deep, past Python's default recursion limit
     G = build_graph(2002, [(2 * i, 2 * i + 1) for i in range(1001)])
@@ -373,7 +391,7 @@ def test_sparse_random_64_vertex_graph():
     rng = random.Random(1)
     pairs = [(u, v) for u in range(64) for v in range(u + 1, 64)]
     G = build_graph(64, rng.sample(pairs, 112))
-    assert not is_bipartite(G)[0]
+    assert not is_bipartite(G)
     matching = max_matching(G)
     _assert_matching(G, matching)
     # Gallai-Edmonds: the neighbours of the vertices some maximum matching misses

@@ -36,7 +36,7 @@ def test_oracle_matches_brute_dom_on_random_graphs(G):
 def test_sandwich_bounds(G):
     value = dom(G).value
     assert independence_number(G) <= value <= G.n - matching_number(G)
-    if is_bipartite(G)[0]:
+    if is_bipartite(G):
         assert value == independence_number(G)
 
 
