@@ -87,11 +87,15 @@ class DomCache:
 
     def store(self, G: UndirectedGraph, value: int) -> None:
         global _index
-        self.directory.mkdir(parents=True, exist_ok=True)
         key = graph_key(G)
         line = f"{key}\t{value}\t{SOLVER_VERSION}\n"
         before = _signature(self.path)
-        with open(self.path, "a", encoding="utf-8") as handle:
+        try:
+            handle = open(self.path, "a", encoding="utf-8")
+        except FileNotFoundError:  # the first store into a missing directory
+            self.directory.mkdir(parents=True, exist_ok=True)
+            handle = open(self.path, "a", encoding="utf-8")
+        with handle:
             handle.write(line)
         after = _signature(self.path)
         # the index takes the new line only if nothing else touched the file

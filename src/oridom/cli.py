@@ -10,6 +10,14 @@ ValueError (a malformed file or expression, a graph over SIZE_CAP, bytes
 that are not UTF-8), an OSError (a missing input, an unwritable --out or
 cache file) or a CapExceeded from any command ends it with one
 ``error: <message>`` line on stderr and exit 2.
+
+How main works (left out of --help): arguments are parsed in one pass.
+When the first token names a command, main hands the rest straight to that
+command's parser, and any token it does not know goes to the top parser's
+"unrecognized arguments" error. Anything else (no arguments, -h, an
+unknown command) goes through the top parser, so every message is the one
+a full parse would give. A warning raised while a command runs (a corrupt
+cache line) prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from .cache import DomCache
 from .corpus import DEFAULT_SEED
@@ -110,7 +119,7 @@ def _cmd_dom(args) -> int:
         print("witness cached")
         print("explored 0")
         return 0
-    if cache:  # an unusable cache directory fails before the scan
+    if cache and not cache.path.exists():  # so an unusable cache directory fails before the scan
         cache.directory.mkdir(parents=True, exist_ok=True)
     result = Solver(args.max_edges).dom(graph)
     if cache:  # before any print, so a failed append prints no result
@@ -200,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--porcelain", action="store_true",
                         help="machine-readable tab-separated output")
 
-    parser = argparse.ArgumentParser(prog="oridom", description=__doc__)
+    description = __doc__.partition("\n\nHow main works")[0]
+    parser = argparse.ArgumentParser(prog="oridom", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for main's one-pass dispatch
 
     p = sub.add_parser("construct", parents=[common], help="build a graph expression")
     p.add_argument("expr", help="e.g. cart(path:3,complete:3) or multi:1,2,2")
@@ -246,16 +257,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.workers < 1:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except (ValueError, OSError, CapExceeded) as exc:  # the one usage-error path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import oridom
 from oridom import cache as cache_mod
+from oridom import cli
 from oridom.cache import DomCache, graph_key
 from oridom.cli import build_parser, main
 from oridom.exprs import ExprError, parse_graph_expr
@@ -353,6 +355,87 @@ def test_undecodable_cache_line_is_skipped(tmp_path, capsys):
         assert cache.lookup(cycle(5)) == 3
 
 
+def _src_env():
+    src = str(Path(oridom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+def test_corrupt_cache_line_prints_one_warning_line(tmp_path):
+    graph_file = tmp_path / "g.ug"
+    graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
+    cache = DomCache(tmp_path / "cache")
+    cache.store(cycle(5), 3)
+    with open(cache.path, "ab") as handle:
+        handle.write(b"abc\xff\t1\t1\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "oridom.cli", "dom", "--graph", str(graph_file),
+         "--cache-dir", str(cache.directory)],
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "value 3\nwitness cached\nexplored 0\n"
+    assert done.stderr == "warning: skipping corrupt cache line 2: 'abc\\udcff\\t1\\t1'\n"
+
+
+def test_main_restores_the_warning_format(tmp_path, capsys):
+    before = warnings.formatwarning
+    target = tmp_path / "g.ug"
+    target.write_text(format_graph(cycle(5)), encoding="utf-8")
+    assert main(["dom", "--graph", str(target), "--no-cache"]) == 0
+    assert main(["dom", "--graph", str(tmp_path / "missing.ug"), "--no-cache"]) == 2
+    capsys.readouterr()
+    assert warnings.formatwarning is before
+
+
+def _full_parse(argv):
+    """A fresh top parser's full parse, then main's --workers check."""
+    parser = build_parser.__wrapped__()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
+    return args
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["bogus"], ["dom"], ["dom", "--graph", "F", "extra"], ["dom", "--gr", "F"],
+        ["props", "--seed", "x"], ["verify", "counterexample", "--workers", "0"], ["dom", "--help"],
+        ["--workers", "1", "dom"], ["construct", "path:3", "--he"], ["orient", "--scheme", "nope"],
+        ["dom", "--graph", "F", "--no-cache", "--stats", "--max-edges", "5"],
+    ],
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_one_pass_dispatch_matches_the_full_parse(argv, monkeypatch, capsys):
+    def outcome(call):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+        if isinstance(result, argparse.Namespace):  # a parse that succeeded
+            result = {k: v for k, v in vars(result).items() if k not in ("func", "command")}
+        return result, *capsys.readouterr()
+
+    parser = build_parser.__wrapped__()
+    for command in parser.commands.values():  # main returns the parsed arguments
+        command.set_defaults(func=lambda args: args)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert outcome(main) == outcome(_full_parse)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["oridom", "construct", "path:3"])
+    assert main() == 0
+    assert capsys.readouterr().out == format_graph(path(3))
+    monkeypatch.setattr(sys, "argv", ["oridom"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "required: command" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     target = tmp_path / "g.ug"
@@ -432,6 +515,32 @@ def test_cache_store_keeps_lines_other_writers_append(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cache.lookup(L) == 4 and cache.lookup(M) == 4
 
+
+def test_cache_store_makes_missing_directories(tmp_path):
+    cache = DomCache(tmp_path / "a" / "b")
+    cache.store(path(4), 3)
+    assert cache.lookup(path(4)) == 3
+    assert cache.path.read_text(encoding="utf-8") == _line(path(4), 3)
+
+
+def test_dom_miss_into_an_existing_cache_file_makes_no_directory(tmp_path, capsys, monkeypatch):
+    graph_file = tmp_path / "g.ug"
+    graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
+    cache = DomCache(tmp_path / "cache")
+    cache.store(path(3), 2)
+    listing, mtime = sorted(os.listdir(cache.directory)), cache.directory.stat().st_mtime_ns
+
+    def no_mkdir(self, *args, **kwargs):
+        raise AssertionError(f"mkdir {self}")
+
+    monkeypatch.setattr(Path, "mkdir", no_mkdir)
+    assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache.directory)]) == 0
+    assert capsys.readouterr().out.startswith("value 3\nwitness ")
+    assert sorted(os.listdir(cache.directory)) == listing
+    assert cache.directory.stat().st_mtime_ns == mtime
+    assert cache.lookup(cycle(5)) == 3 and cache.lookup(path(3)) == 2
+
+
 def test_cache_corrupt_line_after_warm_index_warns_once_per_read(tmp_path):
     cache = DomCache(tmp_path)
     G = path(3)
@@ -487,8 +596,7 @@ for k in range(first, first + 200):
 
 
 def test_two_concurrent_writers_share_one_cache(tmp_path):
-    src = str(Path(oridom.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     go = tmp_path / "go"
     writers = [
         subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path / "cache"), str(first), str(go)],
