@@ -1,6 +1,7 @@
 """Exact workbench for orientable domination, digraph domination, and packing."""
 
 from .domsearch import DEFAULT_EDGE_CAP, SOLVER_VERSION, Solver, dom
+from .exprs import parse_graph_expr
 from .formulas import (
     BoundsReport,
     VizingCheck,
@@ -23,7 +24,6 @@ from .graphs import (
     cycle,
     delete_edge,
     empty,
-    family,
     induced_subgraph,
     multipartite,
     path,

@@ -11,13 +11,13 @@ that are not UTF-8), an OSError (a missing input, an unwritable --out or
 cache file) or a CapExceeded from any command ends it with one
 ``error: <message>`` line on stderr and exit 2.
 
-How main works (left out of --help): arguments are parsed in one pass.
-When the first token names a command, main hands the rest straight to that
-command's parser, and any token it does not know goes to the top parser's
-"unrecognized arguments" error. Anything else (no arguments, -h, an
-unknown command) goes through the top parser, so every message is the one
-a full parse would give. A warning raised while a command runs (a corrupt
-cache line) prints as one ``warning: <message>`` line on stderr.
+How main works: arguments are parsed in one pass. When the first token
+names a command, main hands the rest straight to that command's parser, and
+any token it does not know goes to the top parser's "unrecognized arguments"
+error. Anything else (no arguments, -h, an unknown command) goes through the
+top parser, so every message is the one a full parse would give. A warning
+raised while a command runs (a corrupt cache line) prints as one
+``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import warnings
 from .cache import DomCache
 from .corpus import DEFAULT_SEED
 from .domsearch import DEFAULT_EDGE_CAP, Solver
-from .exprs import parse_graph_expr
+from .exprs import parse_graph_expr, parse_int
 from .formulas import dom_bounds
-from .graphs import CapExceeded, Orientation, complete, family
+from .graphs import CapExceeded, Orientation, complete
 from .invariants import max_independent_set
 from .io import format_digraph, format_graph, load_digraph, load_graph
 from .orientations import (
@@ -46,6 +46,8 @@ from .solvers import gamma, rho
 from .verify import FAIL, SKIPPED, SUITE_NAMES, run_props, run_verify
 
 COMPOSITE_SCHEMES = ("corona", "cartesian", "lex")
+DESCRIPTION = ("Exact workbench for orientable domination. Exit codes: 0 success, 1 a"
+               " verify/props case failed, 2 usage error (one 'error:' line on stderr).")
 
 
 def _write(text: str, out: str | None):
@@ -58,7 +60,7 @@ def _write(text: str, out: str | None):
 
 def _parse_params(raw: str | None) -> dict[str, str]:
     """Parse ``k=2,s=3`` style parameters; commas without '=' extend the
-    previous value so family descriptors like ``multi:1,2,2`` survive."""
+    previous value so expressions like ``cart(path:2,multi:1,2)`` survive."""
     params: dict[str, str] = {}
     if not raw:
         return params
@@ -91,10 +93,10 @@ def _cmd_orient(args) -> int:
     params = _parse_params(args.params)
     if name in SELF_CONTAINED_SCHEMES:
         builder, wanted = SELF_CONTAINED_SCHEMES[name]
-        digraph = builder(*(int(_param(params, name, key)) for key in wanted))
+        digraph = builder(*(parse_int(_param(params, name, key)) for key in wanted))
     else:
-        G = load_graph(args.base) if args.base else family(_param(params, name, "g"))
-        H = family(_param(params, name, "h"))
+        G = load_graph(args.base) if args.base else parse_graph_expr(_param(params, name, "g"))
+        H = parse_graph_expr(_param(params, name, "h"))
         solver = Solver(args.max_edges)
         if name == "corona":
             g_opt = solver.dom(G).witness
@@ -209,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--porcelain", action="store_true",
                         help="machine-readable tab-separated output")
 
-    description = __doc__.partition("\n\nHow main works")[0]
-    parser = argparse.ArgumentParser(prog="oridom", description=description)
+    parser = argparse.ArgumentParser(prog="oridom", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # name -> subparser, for main's one-pass dispatch
 
@@ -223,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orient", parents=[common], help="emit a named orientation scheme")
     p.add_argument("--scheme", required=True,
                    choices=scheme_names + [f"{s}_orientation" for s in scheme_names])
-    p.add_argument("--params", help="e.g. k=2,s=2 or n=4 or g=cycle:5,h=empty:2")
+    p.add_argument("--params", help="e.g. k=2,s=2 or n=4 or g=cart(path:2,path:2),h=empty:2")
     p.add_argument("--base", help="graph file for the first factor of composite schemes")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_orient)

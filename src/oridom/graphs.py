@@ -17,7 +17,7 @@ class CapExceeded(RuntimeError):
     """A search was refused because the instance exceeds its size cap."""
 
 
-SIZE_CAP = 10_000  # most vertices, and most edges, a parser, family or product builds
+SIZE_CAP = 10_000  # most vertices, and most edges, of a graph that a parser or builder makes
 
 
 def check_size(n: int, m: int) -> None:
@@ -199,33 +199,6 @@ def multipartite(*sizes: int) -> UndirectedGraph:
                 for v in parts[j]:
                     edges.append((u, v))
     return build_graph(total, edges)
-
-
-_FAMILIES = {
-    "path": path,
-    "cycle": cycle,
-    "complete": complete,
-    "empty": empty,
-}
-
-
-def family(descriptor: str) -> UndirectedGraph:
-    """Build a named family from a descriptor like ``path:4`` or ``multi:1,2,2``."""
-    name, sep, arg = descriptor.partition(":")
-    name = name.strip()
-    if not sep:
-        raise ValueError(f"family descriptor needs ':<params>': {descriptor!r}")
-    try:
-        params = [int(x) for x in arg.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValueError(f"non-integer parameter in descriptor {descriptor!r}") from None
-    if name in ("multi", "multipartite"):
-        return multipartite(*params)
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
-    if len(params) != 1:
-        raise ValueError(f"family {name!r} takes one parameter, got {params}")
-    return _FAMILIES[name](params[0])
 
 
 def induced_subgraph(G: UndirectedGraph, vertices) -> UndirectedGraph:

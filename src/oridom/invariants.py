@@ -198,14 +198,14 @@ def _two_colourable(adj, mask: int) -> bool:
     return True
 
 
-def max_induced_bipartite_order(G: UndirectedGraph, cap: int = BIP_VERTEX_CAP) -> int:
+def max_induced_bipartite_order(G: UndirectedGraph) -> int:
     """Order of the largest vertex subset inducing a bipartite subgraph.
 
-    Subsets are enumerated in decreasing size, first hit wins; the default
-    cap keeps the enumeration at desk scale.
+    Subsets are enumerated in decreasing size, first hit wins; BIP_VERTEX_CAP
+    keeps the enumeration at desk scale.
     """
-    if G.n > cap:
-        raise CapExceeded(f"bip enumeration capped at n <= {cap}, got n={G.n}")
+    if G.n > BIP_VERTEX_CAP:
+        raise CapExceeded(f"bip enumeration capped at n <= {BIP_VERTEX_CAP}, got n={G.n}")
     for size in range(G.n, 0, -1):
         for subset in combinations(range(G.n), size):
             mask = 0

@@ -2,13 +2,15 @@
 
 Undirected: header ``ug <n> <m>`` followed by ``m`` lines ``u v`` with
 ``0 <= u < v < n``. Directed: header ``dg <n> <m>`` followed by ``m``
-lines ``u v`` meaning the arc u->v. Writers emit canonical order;
-parsers accept any line order but reject malformed headers, count
-mismatches, and range violations with line-numbered errors.
+lines ``u v`` meaning the arc u->v. Every integer is a run of ASCII
+digits (``exprs.parse_int``). Writers emit canonical order; parsers accept
+any line order but reject malformed headers, count mismatches, and range
+violations with line-numbered errors.
 """
 
 from __future__ import annotations
 
+from .exprs import parse_int
 from .graphs import Digraph, UndirectedGraph, build_digraph, build_graph, check_size
 
 
@@ -24,13 +26,9 @@ def _parse_pairs(lines, start_line, count, what):
             raise GraphFormatError(
                 f"line {lineno}: expected {count} {what} lines, file ends after {offset}"
             )
-        fields = lines[offset].split()
-        if len(fields) != 2:
-            raise GraphFormatError(
-                f"line {lineno}: expected two integers, got {lines[offset]!r}"
-            )
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
+        try:  # a line of other than two fields fails to unpack, also a ValueError
+            u, v = map(parse_int, lines[offset].split())
+            pairs.append((u, v))
         except ValueError:
             raise GraphFormatError(
                 f"line {lineno}: expected two integers, got {lines[offset]!r}"
@@ -52,7 +50,7 @@ def _parse_header(lines, tag):
     if len(fields) != 3 or fields[0] != tag:
         raise GraphFormatError(f"line 1: expected header '{tag} <n> <m>', got {lines[0]!r}")
     try:
-        n, m = int(fields[1]), int(fields[2])
+        n, m = parse_int(fields[1]), parse_int(fields[2])
     except ValueError:
         raise GraphFormatError(f"line 1: non-integer counts in header {lines[0]!r}") from None
     try:

@@ -15,6 +15,7 @@ from .graphs import (
     Digraph,
     Orientation,
     UndirectedGraph,
+    _iter_bits,
     build_digraph,
     check_size,
     complete,
@@ -27,6 +28,18 @@ from .products import cartesian, corona, join, lexicographic
 
 def _arcs(f: Orientation) -> set[tuple[int, int]]:
     return {f.arc(i) for i in range(f.base.m)}
+
+
+def _independent_set(A, G: UndirectedGraph, name: str) -> set[int]:
+    """``A`` as a set, after checking that it is an independent set of G's vertices."""
+    a_set = set(A)
+    for x in sorted(a_set):
+        if not 0 <= x < G.n:
+            raise ValueError(f"A has vertex {x}, out of range for {name} with n={G.n}")
+        for y in _iter_bits(G.adj[x]):
+            if y in a_set:
+                raise ValueError(f"A is not independent in {name}: edge {{{x},{y}}}")
+    return a_set
 
 
 def path_join_orientation(n: int) -> Digraph:
@@ -79,11 +92,7 @@ def cartesian_orientation(g_f: Orientation, h_g: Orientation, A) -> Digraph:
     the independent set A point away from it, the rest follow ``h_g``.
     """
     G, H = g_f.base, h_g.base
-    a_set = set(A)
-    for x in a_set:
-        for y in a_set:
-            if x != y and H.has_edge(x, y):
-                raise ValueError(f"A is not independent in H: edge {{{x},{y}}}")
+    a_set = _independent_set(A, H, "H")
     g_arcs, h_arcs = _arcs(g_f), _arcs(h_g)
     arcs = []
     for u, v in cartesian(G, H).edges:
@@ -135,11 +144,7 @@ def lex_orientation(G: UndirectedGraph, A, H_f: Orientation) -> Digraph:
     every cross edge at an A-copy points away from it.
     """
     H = H_f.base
-    a_set = set(A)
-    for x in a_set:
-        for y in a_set:
-            if x != y and G.has_edge(x, y):
-                raise ValueError(f"A is not independent in G: edge {{{x},{y}}}")
+    a_set = _independent_set(A, G, "G")
     h_arcs = _arcs(H_f)
     arcs = []
     for p, q in lexicographic(G, H).edges:

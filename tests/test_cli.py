@@ -183,6 +183,41 @@ def test_orient_command(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_orient_factors_are_construct_expressions(capsys):
+    assert main(["orient", "--scheme", "lex", "--params", "g=cart(path:2,path:2),h=empty:2"]) == 0
+    assert capsys.readouterr().out.startswith("dg 8 ")
+    assert main(["orient", "--scheme", "cartesian", "--params", "g=multi:1,2,h=path:2"]) == 0
+    assert capsys.readouterr().out.startswith("dg 6 ")
+    for raw, message in [
+        ("g=path:\u0663,h=empty:2", "expected an integer at position 5"),
+        ("g=path:1_0,h=empty:2", "trailing input at position 6"),
+        ("g=path,h=empty:2", "expected ':' at position 4 in 'path'"),
+        ("g=wheel:3,h=empty:2", "unknown family 'wheel'"),
+        ("g=path:3,4,h=empty:2", "family 'path' takes one parameter, got [3, 4]"),
+    ]:
+        assert main(["orient", "--scheme", "lex", "--params", raw]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("raw", ["n=\u0663", "n=1_0", "n=+4", "n= 4 x", "n=-4"])
+def test_orient_integer_params_are_ascii_digits(raw, capsys):
+    assert main(["orient", "--scheme", "prism", "--params", raw]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected an integer") and captured.err.count("\n") == 1
+
+
+def test_top_help_names_no_exception_class(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "Exit codes" in out
+    for word in ("Error", "CapExceeded", "Exception", "``", "main"):
+        assert word not in out
+
+
 def test_orient_with_base_file(tmp_path):
     base = tmp_path / "c5.ug"
     base.write_text(format_graph(cycle(5)), encoding="utf-8")

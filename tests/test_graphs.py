@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import underlying_edges
+from oridom.exprs import parse_graph_expr
 from oridom.graphs import (
     SIZE_CAP,
     Orientation,
@@ -14,7 +15,6 @@ from oridom.graphs import (
     cycle,
     delete_edge,
     empty,
-    family,
     induced_subgraph,
     multipartite,
     path,
@@ -87,24 +87,27 @@ def test_multipartite_autosorts_with_warning():
 
 
 def test_family_descriptors():
-    assert family("path:4").edges == path(4).edges
-    assert family("multi:1,2,2").edges == multipartite(1, 2, 2).edges
-    with pytest.raises(ValueError, match="unknown family"):
-        family("wheel:5")
+    assert parse_graph_expr("path:4").edges == path(4).edges
+    assert parse_graph_expr("multi:1,2,2").edges == multipartite(1, 2, 2).edges
+    assert parse_graph_expr("multipartite:1,2,2").edges == multipartite(1, 2, 2).edges
+    with pytest.raises(ValueError, match="^unknown family 'wheel'$"):
+        parse_graph_expr("wheel:5")
+    with pytest.raises(ValueError, match=r"^family 'path' takes one parameter, got \[3, 4\]$"):
+        parse_graph_expr("path:3,4")
     with pytest.raises(ValueError):
-        family("path")
+        parse_graph_expr("path")
 
 
 def test_families_refuse_graphs_over_size_cap():
     # complete:141 has 9,870 edges and multi:50,200 exactly 10,000
     for text in (f"path:{SIZE_CAP}", f"cycle:{SIZE_CAP}", f"empty:{SIZE_CAP}", "complete:141",
                  "multi:50,200", f"multi:1,{SIZE_CAP - 1}"):
-        assert max(family(text).n, family(text).m) <= SIZE_CAP
+        assert max(parse_graph_expr(text).n, parse_graph_expr(text).m) <= SIZE_CAP
     for text in (f"path:{SIZE_CAP + 1}", f"cycle:{SIZE_CAP + 1}", f"empty:{SIZE_CAP + 1}",
                  "complete:142", "multi:50,201", "multi:5000,5000", f"multi:1,{SIZE_CAP}",
                  "empty:10000000000"):
         with pytest.raises(ValueError, match="graph too large"):
-            family(text)
+            parse_graph_expr(text)
 
 
 def test_digraph_validation():

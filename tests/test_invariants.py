@@ -73,7 +73,6 @@ def test_bip_witness_is_bipartition():
 def test_bip_cap():
     with pytest.raises(CapExceeded):
         max_induced_bipartite_order(empty(21))
-    assert max_induced_bipartite_order(empty(21), cap=21) == 21
 
 
 def test_is_bipartite_examples():

@@ -71,6 +71,18 @@ def test_rejects_malformed_pair():
         parse_graph("ug 3 1\nx y\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("ug \u0663 2\n0 1\n1 2\n", 1), ("ug 1_0 0\n", 1), ("ug +3 0\n", 1),
+     ("ug 3 1\n1 +2\n", 2), ("ug 3 1\n0 \u0662\n", 2), ("ug 3 1\n0 1_0\n", 2),
+     ("dg 3 1\n-0 1\n", 2)],
+)
+def test_integers_are_ascii_digits(text, line):
+    parse = parse_graph if text.startswith("ug") else parse_digraph
+    with pytest.raises(GraphFormatError, match=f"^line {line}: "):
+        parse(text)
+
+
 def test_digraph_allows_opposite_arcs():
     D = parse_digraph("dg 2 2\n0 1\n1 0\n")
     assert D.arcs == ((0, 1), (1, 0))

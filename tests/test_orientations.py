@@ -163,6 +163,14 @@ def test_cartesian_orientation_rejects_dependent_set():
         cartesian_orientation(Orientation(path(2), 0), Orientation(complete(3), 0), (0, 1))
 
 
+@pytest.mark.parametrize("A", [(5,), (0, 7), (-1, 1)])
+def test_composite_schemes_reject_vertices_out_of_range(A):
+    with pytest.raises(ValueError, match="out of range"):
+        cartesian_orientation(Orientation(path(2), 0), Orientation(path(3), 0), A)
+    with pytest.raises(ValueError, match="out of range"):
+        lex_orientation(path(3), A, Orientation(empty(2), 0))
+
+
 def test_lex_orientation_shields_copies():
     G, H = cycle(5), empty(2)
     D = lex_orientation(G, (0, 2), Orientation(H, 0))
