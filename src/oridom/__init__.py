@@ -4,14 +4,11 @@ from .domsearch import DEFAULT_EDGE_CAP, SOLVER_VERSION, Solver, dom
 from .exprs import parse_graph_expr
 from .formulas import (
     BoundsReport,
-    VizingCheck,
     corona_dom,
     dom_bounds,
     erdos_szekeres_bounds,
-    join_k1_check,
     multipartite_dom_bounds,
     tripartite_dom,
-    vizing_like_check,
 )
 from .graphs import (
     CapExceeded,

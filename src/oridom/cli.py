@@ -30,7 +30,7 @@ import warnings
 from .cache import DomCache
 from .corpus import DEFAULT_SEED
 from .domsearch import DEFAULT_EDGE_CAP, Solver
-from .exprs import parse_graph_expr, parse_int
+from .exprs import SPACES, parse_graph_expr, parse_int
 from .formulas import dom_bounds
 from .graphs import CapExceeded, Orientation, complete
 from .invariants import max_independent_set
@@ -67,14 +67,23 @@ def _parse_params(raw: str | None) -> dict[str, str]:
     key = None
     for piece in raw.split(","):
         name, eq, value = piece.partition("=")
-        if eq and name.strip():
-            key = name.strip()
-            params[key] = value.strip()
+        name = name.strip(SPACES)
+        if eq and name:
+            key = name
+            params[key] = value.strip(SPACES)
         elif not eq and key is not None:
-            params[key] += "," + piece.strip()
+            params[key] += "," + piece.strip(SPACES)
         else:
             raise ValueError(f"malformed parameters {raw!r}")
     return params
+
+
+def _flag_int(text: str) -> int:
+    """argparse type for --max-edges and --seed: the ASCII-digit rule of parse_int."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:  # argparse prints this message after the flag's name
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _param(params: dict[str, str], name: str, key: str) -> str:
@@ -199,12 +208,12 @@ def _cmd_props(args) -> int:
 @functools.cache  # parse_args never changes the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-edges", type=int, default=DEFAULT_EDGE_CAP,
+    common.add_argument("--max-edges", type=_flag_int, default=DEFAULT_EDGE_CAP,
                         help="orientation-scan edge cap (default %(default)s)")
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for existing callers; the scan runs in one process"
                              " (at least 1, default %(default)s)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    common.add_argument("--seed", type=_flag_int, default=DEFAULT_SEED,
                         help="seed for randomized corpora (default %(default)s)")
     common.add_argument("--cache-dir", default=None,
                         help="DOM cache directory (env ORIDOM_CACHE_DIR overrides the default)")

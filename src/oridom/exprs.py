@@ -8,13 +8,18 @@ Grammar:  expr = op '(' expr ',' expr ')' | family
 
 ``cart(path:3,complete:3)`` builds the Cartesian product of P_3 and K_3.
 An int is a run of ASCII digits; ``parse_int`` holds that rule for every
-integer oridom reads from text (``orient`` parameters and graph files too).
+integer oridom reads from text (``orient`` parameters, graph files and the
+``--max-edges``/``--seed`` flags too). Spaces and tabs may separate tokens;
+no other character counts as whitespace.
 """
 
 from __future__ import annotations
 
 from .graphs import UndirectedGraph, complete, cycle, empty, multipartite, path
 from .products import cartesian, corona, join, lexicographic
+
+# the only characters that separate tokens or fields in text oridom reads
+SPACES = " \t"
 
 _OPS = {
     "cart": cartesian,
@@ -51,7 +56,7 @@ class _Parser:
         self.pos = 0
 
     def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in SPACES:
             self.pos += 1
 
     def _expect(self, ch: str):

@@ -1,5 +1,9 @@
 """Bound calculators and closed-form evaluators for orientable domination.
 
+Each function is a bound or a closed form for DOM; the checks that compare
+them with exact search live in ``verify``. Only ``corona_dom`` needs the
+DOM values of its factors, so it alone takes a ``solver``.
+
 The log-based complete-graph bounds are the only floating-point arithmetic
 in the package; values within 1e-9 of an integer are snapped before
 rounding, and rounding is always outward (ceil on the lower bound, floor
@@ -13,9 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 from .domsearch import Solver
-from .graphs import UndirectedGraph, complete, induced_subgraph
+from .graphs import UndirectedGraph, complete
 from .invariants import sandwich
-from .products import cartesian, join
+from .products import join
 
 _TIE_EPS = 1e-9
 
@@ -40,26 +44,12 @@ class BoundsReport:
         return self.lower <= value <= self.upper
 
 
-def dom_bounds(G: UndirectedGraph, partition=None, solver: Solver | None = None) -> BoundsReport:
-    """Sandwich bounds on DOM(G): independence below, n - matching above.
-
-    A vertex partition tightens the upper bound to the sum of the DOM
-    values of its induced subgraphs (computed exactly by ``solver``, whose
-    caps apply; None means a fresh Solver()).
-    """
+def dom_bounds(G: UndirectedGraph) -> BoundsReport:
+    """Sandwich bounds on DOM(G): independence below, n - matching above."""
     alpha, upper, bipartite = sandwich(G)
     sources = {"independence": alpha, "n_minus_matching": upper}
     if bipartite:
         sources["bipartite_equality"] = alpha
-    if partition is not None:
-        blocks = [list(block) for block in partition]
-        flat = sorted(v for block in blocks for v in block)
-        if flat != list(range(G.n)):
-            raise ValueError("partition must cover every vertex exactly once")
-        solver = solver or Solver()
-        total = sum(solver.dom(induced_subgraph(G, block)).value for block in blocks)
-        sources["partition_sum"] = total
-        upper = min(upper, total)
     return BoundsReport(alpha, upper, sources)
 
 
@@ -91,18 +81,6 @@ def corona_dom(G: UndirectedGraph, H: UndirectedGraph, solver: Solver | None = N
     if dom_h_k1 == dom_h:
         return dom_h * G.n
     return dom_h * G.n + solver.dom(G).value
-
-
-def join_k1_check(G: UndirectedGraph, solver: Solver | None = None) -> tuple[int, int]:
-    """(DOM(G), DOM(G + K_1)); the second is the first or one more."""
-    solver = solver or Solver()
-    dom_g = solver.dom(G).value
-    dom_gk1 = solver.dom(join(G, complete(1))).value
-    if dom_gk1 not in (dom_g, dom_g + 1):
-        raise AssertionError(
-            f"universal-vertex join changed DOM from {dom_g} to {dom_gk1}"
-        )
-    return dom_g, dom_gk1
 
 
 def tripartite_dom(n1: int, n2: int, n3: int) -> int:
@@ -141,23 +119,3 @@ def multipartite_dom_bounds(*sizes: int) -> BoundsReport:
         sources["largest_part_dominates"] = largest
         return BoundsReport(largest, largest, sources)
     return BoundsReport(largest, max(largest, k), sources)
-
-
-@dataclass(frozen=True)
-class VizingCheck:
-    """Evidence for one product instance of the product-inequality question."""
-
-    dom_product: int
-    dom_factor_product: int
-    holds: bool
-
-
-def vizing_like_check(
-    G: UndirectedGraph, H: UndirectedGraph, solver: Solver | None = None
-) -> VizingCheck:
-    """Compare DOM(G x H) (Cartesian) against DOM(G) * DOM(H)."""
-    solver = solver or Solver()
-    dom_g = solver.dom(G).value
-    dom_h = solver.dom(H).value
-    dom_gh = solver.dom(cartesian(G, H)).value
-    return VizingCheck(dom_gh, dom_g * dom_h, dom_gh >= dom_g * dom_h)

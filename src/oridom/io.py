@@ -3,15 +3,22 @@
 Undirected: header ``ug <n> <m>`` followed by ``m`` lines ``u v`` with
 ``0 <= u < v < n``. Directed: header ``dg <n> <m>`` followed by ``m``
 lines ``u v`` meaning the arc u->v. Every integer is a run of ASCII
-digits (``exprs.parse_int``). Writers emit canonical order; parsers accept
+digits (``exprs.parse_int``), fields are separated by spaces and tabs, and
+lines end in LF or CR LF; no other character, and so no non-ASCII
+one, counts as whitespace. Writers emit canonical order; parsers accept
 any line order but reject malformed headers, count mismatches, and range
 violations with line-numbered errors.
 """
 
 from __future__ import annotations
 
-from .exprs import parse_int
+import re
+
+from .exprs import SPACES, parse_int
 from .graphs import Digraph, UndirectedGraph, build_digraph, build_graph, check_size
+
+
+_FIELD_SEP = re.compile(f"[{SPACES}]+")
 
 
 class GraphFormatError(ValueError):
@@ -27,7 +34,7 @@ def _parse_pairs(lines, start_line, count, what):
                 f"line {lineno}: expected {count} {what} lines, file ends after {offset}"
             )
         try:  # a line of other than two fields fails to unpack, also a ValueError
-            u, v = map(parse_int, lines[offset].split())
+            u, v = map(parse_int, _FIELD_SEP.split(lines[offset]))
             pairs.append((u, v))
         except ValueError:
             raise GraphFormatError(
@@ -40,13 +47,14 @@ def _parse_pairs(lines, start_line, count, what):
 
 
 def _split(text: str):
-    return [line for line in (raw.strip() for raw in text.splitlines()) if line]
+    lines = (raw.removesuffix("\r").strip(SPACES) for raw in text.split("\n"))
+    return [line for line in lines if line]
 
 
 def _parse_header(lines, tag):
     if not lines:
         raise GraphFormatError("line 1: empty input")
-    fields = lines[0].split()
+    fields = _FIELD_SEP.split(lines[0])
     if len(fields) != 3 or fields[0] != tag:
         raise GraphFormatError(f"line 1: expected header '{tag} <n> <m>', got {lines[0]!r}")
     try:

@@ -1,11 +1,14 @@
 """End-to-end verification suites reproducing the package's headline values.
 
-Each suite builds its instances, solves them exactly, and reports one
-VerifyCase per claim. The K_9 case (36 edges) is reported SKIPPED with its
-known value and log bounds when it exceeds the orientation-scan edge cap;
-any other instance over the cap raises CapExceeded, which the CLI reports
-as a usage error. Suites are deterministic for a fixed seed; every scan
-runs in the calling process, so the ``workers`` argument changes nothing.
+Each suite builds its instances, solves them exactly, and computes its own
+checks against the formulas, one case per claim. A suite returns rows of
+``_case`` fields; ``run_verify`` stamps each row with the suite's ``_SUITES``
+key, and ``run_props`` with its own name, to make a VerifyCase. The K_9 case
+(36 edges) is reported SKIPPED with its known value and log bounds when it
+exceeds the orientation-scan edge cap; any other instance over the cap
+raises CapExceeded, which the CLI reports as a usage error. Suites are
+deterministic for a fixed seed; every scan runs in the calling process, so
+the ``workers`` argument changes nothing.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ from itertools import combinations
 
 from . import corpus
 from .domsearch import DEFAULT_EDGE_CAP, Solver
-from .formulas import (
-    corona_dom,
-    dom_bounds,
-    erdos_szekeres_bounds,
-    join_k1_check,
-    multipartite_dom_bounds,
-    tripartite_dom,
-    vizing_like_check,
-)
+from .formulas import corona_dom, erdos_szekeres_bounds, multipartite_dom_bounds, tripartite_dom
 from .graphs import (
     CapExceeded,
     Orientation,
@@ -68,24 +63,30 @@ class VerifyCase:
     status: str
 
 
-def _case(suite, description, expected, computed) -> VerifyCase:
-    if isinstance(expected, tuple):
-        ok = expected[0] <= computed <= expected[1]
-    else:
-        ok = computed == expected
-    return VerifyCase(suite, description, expected, computed, PASS if ok else FAIL)
+def _case(description, expected, computed, status=None) -> tuple:
+    """One case's fields after its suite's name; the status is checked unless given."""
+    if status is None:
+        if isinstance(expected, tuple):
+            ok = expected[0] <= computed <= expected[1]
+        else:
+            ok = computed == expected
+        status = PASS if ok else FAIL
+    return description, expected, computed, status
 
 
-def _suite_bounds(solver: Solver, seed: int) -> list[VerifyCase]:
+def _multipartite_name(sizes) -> str:
+    return "K_{" + ",".join(map(str, sizes)) + "}"
+
+
+def _suite_bounds(solver: Solver, seed: int) -> list[tuple]:
     cases = [
-        _case("bounds", "DOM(K_2) = 1", 1, solver.dom(complete(2)).value),
-        _case("bounds", "DOM(K_3) = 2", 2, solver.dom(complete(3)).value),
+        _case("DOM(K_2) = 1", 1, solver.dom(complete(2)).value),
+        _case("DOM(K_3) = 2", 2, solver.dom(complete(3)).value),
     ]
     for n in range(4, 8):
         interval = erdos_szekeres_bounds(n)
         cases.append(
             _case(
-                "bounds",
                 f"DOM(K_{n}) within log bounds [{interval.lower}, {interval.upper}]",
                 (interval.lower, interval.upper),
                 solver.dom(complete(n)).value,
@@ -94,30 +95,27 @@ def _suite_bounds(solver: Solver, seed: int) -> list[VerifyCase]:
     k9 = complete(9)
     try:
         value = solver.dom(k9).value
-        cases.append(_case("bounds", "DOM(K_9) = 3 (known value)", 3, value))
+        cases.append(_case("DOM(K_9) = 3 (known value)", 3, value))
     except CapExceeded:
         interval = erdos_szekeres_bounds(9)
-        ok = interval.contains(3)
         cases.append(
-            VerifyCase(
-                "bounds",
+            _case(
                 f"DOM(K_9) = 3 (known value); 36 edges exceed the scan cap,"
                 f" log bounds give [{interval.lower}, {interval.upper}]",
                 3,
                 None,
-                SKIPPED if ok else FAIL,
+                SKIPPED if interval.contains(3) else FAIL,
             )
         )
     return cases
 
 
-def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_corona(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     for n in (2, 4, 6):
-        cases.append(_case("corona", f"DOM(P_{n}) = {n // 2}", n // 2, solver.dom(path(n)).value))
+        cases.append(_case(f"DOM(P_{n}) = {n // 2}", n // 2, solver.dom(path(n)).value))
         cases.append(
             _case(
-                "corona",
                 f"DOM(P_{n} + K_1) = {n // 2 + 1}",
                 n // 2 + 1,
                 solver.dom(join(path(n), complete(1))).value,
@@ -126,7 +124,6 @@ def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
     for n in (2, 4, 6, 8):
         cases.append(
             _case(
-                "corona",
                 f"gamma of the hub orientation of P_{n} + K_1 is {n // 2 + 1}",
                 n // 2 + 1,
                 gamma(path_join_orientation(n)).value,
@@ -138,7 +135,6 @@ def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
             formula = corona_dom(G, H, solver)
             cases.append(
                 _case(
-                    "corona",
                     f"DOM({g_name} corona {h_name}) matches the two-case formula",
                     formula,
                     solver.dom(C).value,
@@ -146,7 +142,6 @@ def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
             )
             cases.append(
                 _case(
-                    "corona",
                     f"DOM({g_name} corona {h_name}) matches the brute-force oracle",
                     dom_oracle(C),
                     solver.dom(C).value,
@@ -157,31 +152,23 @@ def _suite_corona(solver: Solver, seed: int) -> list[VerifyCase]:
         ("K_2", complete(2), (1, 2)),
         ("K_1", complete(1), (1, 1)),
     ):
-        got = join_k1_check(G, solver)
-        cases.append(
-            _case(
-                "corona",
-                f"(DOM({name}), DOM({name} + K_1)) = {expected}",
-                list(expected),
-                list(got),
-            )
-        )
+        got = [solver.dom(G).value, solver.dom(join(G, complete(1))).value]
+        cases.append(_case(f"(DOM({name}), DOM({name} + K_1)) = {expected}", list(expected), got))
     return cases
 
 
-def _suite_cartesian(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_cartesian(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     p3k3 = cartesian(path(3), complete(3))
     k3k3 = cartesian(complete(3), complete(3))
-    cases.append(_case("cartesian", "DOM(P_3 box K_3) = 4", 4, solver.dom(p3k3).value))
-    cases.append(_case("cartesian", "DOM(K_3 box K_3) = 4", 4, solver.dom(k3k3).value))
+    cases.append(_case("DOM(P_3 box K_3) = 4", 4, solver.dom(p3k3).value))
+    cases.append(_case("DOM(K_3 box K_3) = 4", 4, solver.dom(k3k3).value))
     fig = k3_box_k3_orientation()
     cases.append(
-        _case("cartesian", "gamma of the out-degree-2 orientation of K_3 box K_3 is 4", 4, gamma(fig).value)
+        _case("gamma of the out-degree-2 orientation of K_3 box K_3 is 4", 4, gamma(fig).value)
     )
     cases.append(
         _case(
-            "cartesian",
             "every vertex of that orientation has out-degree 2",
             [2] * 9,
             [fig.out_degree(v) for v in range(9)],
@@ -192,7 +179,6 @@ def _suite_cartesian(solver: Solver, seed: int) -> list[VerifyCase]:
     scheme = cartesian_orientation(g_opt, Orientation(complete(3), 0), (0,))
     cases.append(
         _case(
-            "cartesian",
             "layered orientation of P_3 box K_3 has gamma >= 2",
             (2, 9),
             gamma(scheme).value,
@@ -203,27 +189,26 @@ def _suite_cartesian(solver: Solver, seed: int) -> list[VerifyCase]:
         ("P_3", path(3), "K_3", complete(3), (4, 4)),
         ("P_2", path(2), "P_2", path(2), (2, 1)),
     ):
-        check = vizing_like_check(G, H, solver)
+        factors = solver.dom(G).value * solver.dom(H).value
+        value = solver.dom(cartesian(G, H)).value
         cases.append(
             _case(
-                "cartesian",
                 f"DOM({g_name} box {h_name}) = {expected[0]} >= {expected[1]}"
                 " = product of factor values",
                 [expected[0], expected[1], True],
-                [check.dom_product, check.dom_factor_product, check.holds],
+                [value, factors, value >= factors],
             )
         )
     return cases
 
 
-def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_prism(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     for n in (3, 4, 5, 6):
         prism = cartesian(cycle(n), complete(2))
-        cases.append(_case("prism", f"DOM(C_{n} box K_2) = {n}", n, solver.dom(prism).value))
+        cases.append(_case(f"DOM(C_{n} box K_2) = {n}", n, solver.dom(prism).value))
         cases.append(
             _case(
-                "prism",
                 f"gamma of the rung orientation of C_{n} box K_2 is {n}",
                 n,
                 gamma(prism_orientation(n)).value,
@@ -240,7 +225,6 @@ def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
             violations += 1
     cases.append(
         _case(
-            "prism",
             f"bip(G) <= DOM(G box K_2) <= n(G) with bipartite equality"
             f" on {len(graphs)} random graphs: violations",
             0,
@@ -250,7 +234,7 @@ def _suite_prism(solver: Solver, seed: int) -> list[VerifyCase]:
     return cases
 
 
-def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_lex(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     pairs = (
         ("P_2", path(2), "P_2", path(2)),
@@ -267,7 +251,6 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
         high = min(dom_g * H.n, dom_h * G.n)
         cases.append(
             _case(
-                "lex",
                 f"DOM({g_name} lex {h_name}) within [{low}, {high}]",
                 (low, high),
                 value,
@@ -276,7 +259,6 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
     c5k2 = lexicographic(cycle(5), empty(2))
     cases.append(
         _case(
-            "lex",
             "DOM(C_5 lex empty_2) within the odd-cycle bounds [4, 5] (exact value recorded)",
             (4, 5),
             solver.dom(c5k2).value,
@@ -287,7 +269,6 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
     scheme = lex_orientation(cycle(5), (0, 2), h_opt)
     cases.append(
         _case(
-            "lex",
             "blown-up C_5 orientation with 2 shielded copies has gamma >= 4",
             (4, 10),
             gamma(scheme).value,
@@ -297,7 +278,6 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
     scheme = lex_orientation(path(3), (0, 2), k2_opt)
     cases.append(
         _case(
-            "lex",
             "blown-up P_3 orientation with endpoint copies shielded has gamma >= 2",
             (2, 6),
             gamma(scheme).value,
@@ -306,7 +286,6 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
     k122 = generalized_lexicographic(complete(3), [empty(1), empty(2), empty(2)])
     cases.append(
         _case(
-            "lex",
             "DOM(K_{1,2,2}) via vertex substitution within [2, 5]",
             (2, 5),
             solver.dom(k122).value,
@@ -315,19 +294,18 @@ def _suite_lex(solver: Solver, seed: int) -> list[VerifyCase]:
     return cases
 
 
-def _suite_multipartite(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_multipartite(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     for sizes in corpus.multipartite_instances(18):
         report = multipartite_dom_bounds(*sizes)
         G = multipartite(*sizes)
         value = solver.dom(G).value
-        name = "K_{" + ",".join(map(str, sizes)) + "}"
+        name = _multipartite_name(sizes)
         if report.exact:
-            cases.append(_case("multipartite", f"DOM({name}) = {report.lower}", report.lower, value))
+            cases.append(_case(f"DOM({name}) = {report.lower}", report.lower, value))
         else:
             cases.append(
                 _case(
-                    "multipartite",
                     f"DOM({name}) within [{report.lower}, {report.upper}]",
                     (report.lower, report.upper),
                     value,
@@ -336,29 +314,25 @@ def _suite_multipartite(solver: Solver, seed: int) -> list[VerifyCase]:
     return cases
 
 
-def _suite_tripartite(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_tripartite(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     for sizes in corpus.multipartite_instances(20):
         if len(sizes) != 3:
             continue
         expected = tripartite_dom(*sizes)
         G = multipartite(*sizes)
-        name = "K_{" + ",".join(map(str, sizes)) + "}"
+        name = _multipartite_name(sizes)
         cases.append(
             _case(
-                "tripartite",
                 f"DOM({name}) = {expected} by the three-case formula",
                 expected,
                 solver.dom(G).value,
             )
         )
     table = k222_orientation()
-    cases.append(
-        _case("tripartite", "gamma of the tabulated K_{2,2,2} orientation is 3", 3, gamma(table).value)
-    )
+    cases.append(_case("gamma of the tabulated K_{2,2,2} orientation is 3", 3, gamma(table).value))
     cases.append(
         _case(
-            "tripartite",
             "every vertex of that orientation has out-degree 2",
             [2] * 6,
             [table.out_degree(v) for v in range(6)],
@@ -367,7 +341,7 @@ def _suite_tripartite(solver: Solver, seed: int) -> list[VerifyCase]:
     return cases
 
 
-def _suite_counterexample(solver: Solver, seed: int) -> list[VerifyCase]:
+def _suite_counterexample(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     for k, s in ((2, 2), (2, 3), (3, 2), (3, 3)):
         D = acyclic_lex_cycle_orientation(k, s)
@@ -375,20 +349,20 @@ def _suite_counterexample(solver: Solver, seed: int) -> list[VerifyCase]:
         g = gamma(D).value
         r = rho(D).value
         name = f"(k={k}, s={s})"
-        cases.append(_case("counterexample", f"{name}: orientation is acyclic", True, acyclic))
-        cases.append(_case("counterexample", f"{name}: gamma = s + 2k - 2", s + 2 * k - 2, g))
-        cases.append(_case("counterexample", f"{name}: packing number = s + k - 1", s + k - 1, r))
-        cases.append(_case("counterexample", f"{name}: gamma differs from packing number", True, g != r))
+        cases.append(_case(f"{name}: orientation is acyclic", True, acyclic))
+        cases.append(_case(f"{name}: gamma = s + 2k - 2", s + 2 * k - 2, g))
+        cases.append(_case(f"{name}: packing number = s + k - 1", s + k - 1, r))
+        cases.append(_case(f"{name}: gamma differs from packing number", True, g != r))
     return cases
 
 
-def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
+def _props_cases(solver: Solver, seed: int) -> list[tuple]:
     cases = []
     graphs = corpus.random_graphs(200, max_n=8, max_edges=14, seed=seed, label="oracle")
 
     oracle_bad = sum(1 for G in graphs if solver.dom(G).value != dom_oracle(G))
     cases.append(
-        _case("props", f"optimized DOM equals the brute-force oracle on {len(graphs)} graphs", 0, oracle_bad)
+        _case(f"optimized DOM equals the brute-force oracle on {len(graphs)} graphs", 0, oracle_bad)
     )
 
     sandwich_bad = 0
@@ -400,7 +374,7 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
         if is_bipartite(G) and value != alpha:
             sandwich_bad += 1
     cases.append(
-        _case("props", "independence <= DOM <= order - matching, equality when bipartite", 0, sandwich_bad)
+        _case("independence <= DOM <= order - matching, equality when bipartite", 0, sandwich_bad)
     )
 
     sample = [G for G in graphs if G.n >= 2 and G.m <= 10][:25]
@@ -415,7 +389,7 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
             if solver.dom(delete_edge(G, u, v)).value < base:
                 mono_bad += 1
     cases.append(
-        _case("props", f"vertex-deletion/edge-deletion monotonicity on {len(sample)} graphs", 0, mono_bad)
+        _case(f"vertex-deletion/edge-deletion monotonicity on {len(sample)} graphs", 0, mono_bad)
     )
 
     part_rng = corpus._rng(seed, "partition")
@@ -425,10 +399,10 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
         right = [v for v in range(G.n) if v not in left]
         if not right:
             continue
-        report = dom_bounds(G, partition=(left, right), solver=solver)
-        if solver.dom(G).value > report.sources["partition_sum"]:
+        total = sum(solver.dom(induced_subgraph(G, block)).value for block in (left, right))
+        if solver.dom(G).value > total:
             part_bad += 1
-    cases.append(_case("props", f"two-block partition bound on {len(sample)} graphs", 0, part_bad))
+    cases.append(_case(f"two-block partition bound on {len(sample)} graphs", 0, part_bad))
 
     orient_rng = corpus._rng(seed, "orientations")
     packing_bad = 0
@@ -441,7 +415,7 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
             if rho(D).value > gamma(D).value:
                 packing_bad += 1
             checked += 1
-    cases.append(_case("props", f"packing number <= gamma on {checked} random orientations", 0, packing_bad))
+    cases.append(_case(f"packing number <= gamma on {checked} random orientations", 0, packing_bad))
 
     tree_bad = 0
     tree_count = 0
@@ -456,7 +430,6 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
                     tree_bad += 1
     cases.append(
         _case(
-            "props",
             f"packing number equals gamma on all {orientations_checked} orientations"
             f" of all {tree_count} trees up to 7 vertices",
             0,
@@ -480,7 +453,7 @@ def _props_cases(solver: Solver, seed: int) -> list[VerifyCase]:
             witness_bad += 1
         if any(is_packing(D, S) for S in combinations(range(D.n), rres.value + 1)):
             witness_bad += 1
-    cases.append(_case("props", "gamma/packing witnesses certified minimal/maximal", 0, witness_bad))
+    cases.append(_case("gamma/packing witnesses certified minimal/maximal", 0, witness_bad))
     return cases
 
 
@@ -512,7 +485,7 @@ def run_verify(
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     solver = Solver(max_edges)
     names = _SUITES if suite == "all" else (suite,)
-    return [case for name in names for case in _SUITES[name](solver, seed)]
+    return [VerifyCase(name, *row) for name in names for row in _SUITES[name](solver, seed)]
 
 
 def run_props(
@@ -524,4 +497,4 @@ def run_props(
 
     ``workers`` is accepted for existing callers; the scan runs in one process.
     """
-    return _props_cases(Solver(max_edges), seed)
+    return [VerifyCase("props", *row) for row in _props_cases(Solver(max_edges), seed)]

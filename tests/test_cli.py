@@ -37,7 +37,8 @@ def test_expr_parser():
 
 
 def test_expr_parser_rejects_non_ascii_digits_and_deep_nesting():
-    for text in ("path:²", "path:٣", "multi:1,²"):
+    for text in ("path:²", "path:٣", "multi:1,²", "path:\u30003", "path:3\u3000",
+                 "cart(path:2,\u2028path:2)"):
         with pytest.raises(ExprError):
             parse_graph_expr(text)
     with pytest.raises(ExprError, match="nested too deeply"):
@@ -200,12 +201,38 @@ def test_orient_factors_are_construct_expressions(capsys):
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("raw", ["n=\u0663", "n=1_0", "n=+4", "n= 4 x", "n=-4"])
+@pytest.mark.parametrize("raw", ["n=\u0663", "n=1_0", "n=+4", "n= 4 x", "n=-4", "n=\u30003", "n=3\x85"])
 def test_orient_integer_params_are_ascii_digits(raw, capsys):
     assert main(["orient", "--scheme", "prism", "--params", raw]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: expected an integer") and captured.err.count("\n") == 1
+
+
+def test_only_ascii_spaces_and_tabs_separate(tmp_path, capsys):
+    assert main(["orient", "--scheme", "prism", "--params", " n =\t3 "]) == 0
+    assert main(["construct", "cart( path:2 ,\tpath:2 )"]) == 0
+    capsys.readouterr()
+    target = tmp_path / "g.ug"
+    target.write_text("ug 2 1\n0\u30001\n", encoding="utf-8")
+    assert main(["dom", "--graph", str(target), "--no-cache"]) == 2
+    assert capsys.readouterr().err == "error: line 2: expected two integers, got '0\\u30001'\n"
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--max-edges", "\u0663"), ("--max-edges", "1_0"), ("--max-edges", " 3"),
+     ("--seed", "+1_0"), ("--seed", "-1")],
+)
+def test_integer_flags_are_ascii_digits(flag, text, tmp_path, capsys):
+    target = tmp_path / "p3.ug"
+    target.write_text(format_graph(path(3)), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["dom", "--graph", str(target), "--no-cache", flag, text])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: expected an integer, got {text!r}\n")
 
 
 def test_top_help_names_no_exception_class(capsys):

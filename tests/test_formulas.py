@@ -6,13 +6,10 @@ from oridom.formulas import (
     corona_dom,
     dom_bounds,
     erdos_szekeres_bounds,
-    join_k1_check,
     multipartite_dom_bounds,
     tripartite_dom,
-    vizing_like_check,
 )
 from oridom.graphs import complete, cycle, empty, multipartite, path
-from oridom.invariants import is_bipartite
 from oridom.products import corona, lexicographic
 
 
@@ -33,16 +30,6 @@ def test_dom_bounds_examples():
 
     k4 = dom_bounds(complete(4))
     assert (k4.lower, k4.upper) == (1, 2)
-
-
-def test_dom_bounds_partition_tightening():
-    G = cycle(6)
-    report = dom_bounds(G, partition=([0, 1, 2], [3, 4, 5]))
-    # each half induces P_3 with DOM = 2, so the partition gives 4
-    assert report.sources["partition_sum"] == 4
-    assert report.upper <= 4
-    with pytest.raises(ValueError, match="partition"):
-        dom_bounds(G, partition=([0, 1], [3, 4, 5]))
 
 
 def test_erdos_szekeres_examples():
@@ -67,12 +54,6 @@ def test_corona_dom_matches_search():
         for H in (complete(1), path(2)):
             expected = corona_dom(G, H)
             assert dom(corona(G, H)).value == expected
-
-
-def test_join_k1_check_examples():
-    assert join_k1_check(path(4)) == (2, 3)
-    assert join_k1_check(complete(2)) == (1, 2)
-    assert join_k1_check(complete(1)) == (1, 1)
 
 
 def test_tripartite_examples():
@@ -103,15 +84,3 @@ def test_multipartite_bounds_contain_search_value():
         report = multipartite_dom_bounds(*sizes)
         assert report.contains(dom(multipartite(*sizes)).value)
 
-
-def test_vizing_like_examples():
-    check = vizing_like_check(complete(3), complete(3))
-    assert (check.dom_product, check.dom_factor_product, check.holds) == (4, 4, True)
-    assert not is_bipartite(complete(3))  # the inequality is not guaranteed here
-
-    check = vizing_like_check(path(3), complete(3))
-    assert (check.dom_product, check.dom_factor_product, check.holds) == (4, 4, True)
-    assert is_bipartite(path(3))  # a bipartite factor guarantees the inequality
-
-    check = vizing_like_check(path(2), path(2))
-    assert (check.dom_product, check.dom_factor_product, check.holds) == (2, 1, True)

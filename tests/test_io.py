@@ -75,12 +75,20 @@ def test_rejects_malformed_pair():
     "text, line",
     [("ug \u0663 2\n0 1\n1 2\n", 1), ("ug 1_0 0\n", 1), ("ug +3 0\n", 1),
      ("ug 3 1\n1 +2\n", 2), ("ug 3 1\n0 \u0662\n", 2), ("ug 3 1\n0 1_0\n", 2),
-     ("dg 3 1\n-0 1\n", 2)],
+     ("dg 3 1\n-0 1\n", 2),
+     # only spaces and tabs separate fields, and only LF or CR LF ends a line
+     ("ug 2 1\n0\u30001\n", 2), ("ug\u30002 1\n0 1\n", 1), ("ug 2 1\u20280 1\n", 1),
+     ("ug 2 1\x850 1\n", 1), ("ug 2 1\n0 1\n\u3000\n", 3), ("ug 2 1\n0\x0b1\n", 2)],
 )
 def test_integers_are_ascii_digits(text, line):
     parse = parse_graph if text.startswith("ug") else parse_digraph
     with pytest.raises(GraphFormatError, match=f"^line {line}: "):
         parse(text)
+
+
+def test_crlf_lines_and_tab_separated_fields_parse():
+    assert parse_graph("ug 3 2\r\n0\t1\r\n 1 \t 2 \r\n\r\n") == parse_graph("ug 3 2\n0 1\n1 2\n")
+    assert parse_digraph("dg\t2 1\r\n1 0\r\n").arcs == ((1, 0),)
 
 
 def test_digraph_allows_opposite_arcs():

@@ -4,9 +4,11 @@ Arbitrary text, and valid text with one to three characters inserted,
 replaced or deleted or a run of up to 12 digits inserted, may only raise the
 parser's own error type; the graph formats round-trip through their writers.
 Sizes over the cap are refused before anything of that size is built, so
-digit runs of any length stay cheap.
+digit runs of any length stay cheap. Valid text with one non-ASCII character
+inserted anywhere never parses.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +72,19 @@ def _mutated(draw, texts, chars):
     return text
 
 
+# Unicode whitespace that str.split, str.splitlines or str.isspace would take
+# for a separator, and any other character outside ASCII
+_NON_ASCII = st.sampled_from("\x85\xa0\u2028\u3000") | st.characters(
+    min_codepoint=0x80, blacklist_categories=("Cs",))
+
+
+@st.composite
+def _with_non_ascii(draw, texts):
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(_NON_ASCII) + text[i:]
+
+
 _graph_texts = st.one_of(_graphs().map(format_graph), _digraphs().map(format_digraph))
 
 
@@ -117,3 +132,18 @@ def test_graph_format_round_trips(G):
 @given(_digraphs())
 def test_digraph_format_round_trips(D):
     assert parse_digraph(format_digraph(D)) == D
+
+
+@settings(max_examples=300, deadline=None)
+@given(_with_non_ascii(_graph_texts))
+def test_graph_text_with_a_non_ascii_character_never_parses(text):
+    for parse in (parse_graph, parse_digraph):
+        with pytest.raises(GraphFormatError):
+            parse(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_with_non_ascii(_exprs))
+def test_expression_with_a_non_ascii_character_never_parses(text):
+    with pytest.raises(ExprError):
+        parse_graph_expr(text)

@@ -67,3 +67,11 @@ def test_all_concatenates_in_suite_order():
         "counterexample",
     ]
     assert [c for c in everything if c.suite == "lex"] == cases
+
+
+def test_every_verify_case_passes_and_only_k9_is_skipped():
+    cases = run_verify("all")
+    assert [c for c in cases if c.status not in (PASS, SKIPPED)] == []
+    skipped = [(c.suite, c.description) for c in cases if c.status == SKIPPED]
+    assert len(skipped) == 1
+    assert skipped[0][0] == "bounds" and skipped[0][1].startswith("DOM(K_9) = 3")
