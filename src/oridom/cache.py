@@ -20,6 +20,7 @@ import warnings
 from pathlib import Path
 
 from .domsearch import SOLVER_VERSION
+from .exprs import parse_int
 from .graphs import UndirectedGraph
 
 CACHE_ENV = "ORIDOM_CACHE_DIR"
@@ -61,11 +62,13 @@ def _read_index(path: Path) -> dict[tuple[str, str], int]:
             if not line:
                 continue
             fields = line.split("\t")
-            # oridom writes only ASCII lines, and int() accepts any ASCII decimal string
-            if not line.isascii() or len(fields) != 3 or not fields[1].removeprefix("-").isdecimal():
+            try:
+                # oridom writes only ASCII lines, each value a run of ASCII digits
+                if not line.isascii() or len(fields) != 3:
+                    raise ValueError
+                index[fields[0], fields[2]] = parse_int(fields[1])
+            except ValueError:
                 warnings.warn(f"skipping corrupt cache line {lineno}: {line!r}", stacklevel=3)
-                continue
-            index[fields[0], fields[2]] = int(fields[1])
     return index
 
 

@@ -5,6 +5,10 @@ Results print as key-value lines; verify/props print a PASS/FAIL table
 (or tab-separated lines with --porcelain). Exit codes: 0 all pass or
 skipped, 1 any failure, 2 usage error.
 
+Each command takes only the flags it reads: every command takes --workers
+and --cache-dir; orient, dom, verify and props take --max-edges; verify
+and props take --seed and --porcelain. Any other flag is an argument error.
+
 Commands do their work and raise; main is the one place that reports. A
 ValueError (a malformed file or expression, a graph over SIZE_CAP, bytes
 that are not UTF-8), an OSError (a missing input, an unwritable --out or
@@ -208,16 +212,18 @@ def _cmd_props(args) -> int:
 @functools.cache  # parse_args never changes the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-edges", type=_flag_int, default=DEFAULT_EDGE_CAP,
-                        help="orientation-scan edge cap (default %(default)s)")
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for existing callers; the scan runs in one process"
                              " (at least 1, default %(default)s)")
-    common.add_argument("--seed", type=_flag_int, default=DEFAULT_SEED,
-                        help="seed for randomized corpora (default %(default)s)")
     common.add_argument("--cache-dir", default=None,
-                        help="DOM cache directory (env ORIDOM_CACHE_DIR overrides the default)")
-    common.add_argument("--porcelain", action="store_true",
+                        help="dom's cache directory (env ORIDOM_CACHE_DIR overrides the default)")
+    scans = argparse.ArgumentParser(add_help=False, parents=[common])
+    scans.add_argument("--max-edges", type=_flag_int, default=DEFAULT_EDGE_CAP,
+                       help="orientation-scan edge cap (default %(default)s)")
+    suites = argparse.ArgumentParser(add_help=False, parents=[scans])
+    suites.add_argument("--seed", type=_flag_int, default=DEFAULT_SEED,
+                        help="seed for randomized corpora (default %(default)s)")
+    suites.add_argument("--porcelain", action="store_true",
                         help="machine-readable tab-separated output")
 
     parser = argparse.ArgumentParser(prog="oridom", description=DESCRIPTION)
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     scheme_names = sorted((*SELF_CONTAINED_SCHEMES, *COMPOSITE_SCHEMES))
-    p = sub.add_parser("orient", parents=[common], help="emit a named orientation scheme")
+    p = sub.add_parser("orient", parents=[scans], help="emit a named orientation scheme")
     p.add_argument("--scheme", required=True,
                    choices=scheme_names + [f"{s}_orientation" for s in scheme_names])
     p.add_argument("--params", help="e.g. k=2,s=2 or n=4 or g=cart(path:2,path:2),h=empty:2")
@@ -238,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_orient)
 
-    p = sub.add_parser("dom", parents=[common], help="orientable domination number")
+    p = sub.add_parser("dom", parents=[scans], help="orientable domination number")
     p.add_argument("--graph", required=True)
     p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     p.add_argument("--stats", action="store_true",
@@ -257,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = sub.add_parser("verify", parents=[suites], help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("props", parents=[common], help="run the randomized invariant suite")
+    p = sub.add_parser("props", parents=[suites], help="run the randomized invariant suite")
     p.set_defaults(func=_cmd_props)
 
     return parser

@@ -14,6 +14,9 @@ from itertools import combinations
 from .graphs import UndirectedGraph, build_graph
 
 DEFAULT_SEED = 0
+PRISM_COUNT = 50  # graphs in prism_corpus
+PRISM_MAX_N = 7  # their largest order
+PRISM_PRODUCT_EDGES = 18  # the most edges of G box K_2, inside the scan cap
 
 
 def _rng(seed: int, label: str) -> random.Random:
@@ -34,19 +37,14 @@ def random_graphs(
     return out
 
 
-def prism_corpus(
-    count: int = 50,
-    max_n: int = 7,
-    max_product_edges: int = 18,
-    seed: int = DEFAULT_SEED,
-) -> list[UndirectedGraph]:
-    """Random graphs whose product with K_2 stays inside the scan cap."""
+def prism_corpus(seed: int = DEFAULT_SEED) -> list[UndirectedGraph]:
+    """PRISM_COUNT random graphs whose product with K_2 stays inside the scan cap."""
     rng = _rng(seed, "prism")
     out = []
-    while len(out) < count:
-        n = rng.randint(1, max_n)
+    while len(out) < PRISM_COUNT:
+        n = rng.randint(1, PRISM_MAX_N)
         pairs = list(combinations(range(n), 2))
-        cap = min(len(pairs), max(0, (max_product_edges - n) // 2))
+        cap = min(len(pairs), max(0, (PRISM_PRODUCT_EDGES - n) // 2))
         m = rng.randint(0, cap)
         out.append(build_graph(n, rng.sample(pairs, m)))
     return out

@@ -8,9 +8,9 @@ Grammar:  expr = op '(' expr ',' expr ')' | family
 
 ``cart(path:3,complete:3)`` builds the Cartesian product of P_3 and K_3.
 An int is a run of ASCII digits; ``parse_int`` holds that rule for every
-integer oridom reads from text (``orient`` parameters, graph files and the
-``--max-edges``/``--seed`` flags too). Spaces and tabs may separate tokens;
-no other character counts as whitespace.
+integer oridom reads from text (``orient`` parameters, graph files, cache
+values and the ``--max-edges``/``--seed`` flags too). Spaces and tabs may
+separate tokens; no other character counts as whitespace.
 """
 
 from __future__ import annotations

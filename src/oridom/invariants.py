@@ -117,7 +117,7 @@ def max_matching(G: UndirectedGraph) -> tuple[tuple[int, int], ...]:
         if mate[u] < 0 and mate[v] < 0:
             mate[u], mate[v] = v, u
     for root in range(n):
-        if mate[root] >= 0:
+        if mate[root] >= 0 or not adj[root]:  # an isolated vertex is never matched
             continue
         base, parent, outer, queue, end = list(range(n)), [-1] * n, 1 << root, [root], -1
         for v in queue:  # outer (even) vertices; blossoms append theirs

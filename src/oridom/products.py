@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from .graphs import UndirectedGraph, build_graph, check_size
+from .graphs import UndirectedGraph, build_graph, check_size, complete
 
 
 def cartesian(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
@@ -65,12 +65,7 @@ def corona(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
 
 
 def join(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
-    """Disjoint union plus all cross edges; H is shifted by n(G)."""
-    check_size(G.n + H.n, G.m + H.m + G.n * H.n)
-    edges = list(G.edges)
-    for a, b in H.edges:
-        edges.append((G.n + a, G.n + b))
-    for u in range(G.n):
-        for v in range(H.n):
-            edges.append((u, G.n + v))
-    return build_graph(G.n + H.n, edges)
+    """Disjoint union plus all cross edges; H is shifted by n(G).
+
+    That is K_2 with G and H substituted for its two vertices."""
+    return generalized_lexicographic(complete(2), [G, H])

@@ -1,8 +1,10 @@
 """Exact digraph domination and packing solvers plus the brute-force oracle.
 
-gamma() is a set-cover style branch and bound over closed in-neighborhoods;
-rho() reduces maximum packing to maximum independent set on a conflict
-graph. dom_oracle() deliberately shares no code with the optimized search
+gamma() is an exact set-cover style branch and bound over closed
+in-neighborhoods, run depth first on an explicit stack; only dom's scan sets
+the early-exit cutoff of its engine, through domsearch._exact_gamma. rho()
+reduces maximum packing to maximum independent set on a conflict graph.
+dom_oracle() deliberately shares no code with the optimized search
 machinery: it tries every vertex subset in increasing size against a
 bit-sliced cover table, one big integer per ordered vertex pair with one bit
 per orientation bitmask, so each subset is tested on all orientations at
@@ -78,19 +80,9 @@ def _gamma_engine(nout: list[int], nin: list[int], n: int, cutoff: int | None):
         best_mask = forced
     nodes = 0
     pruned = {"bound": 0, "cutoff": 0}
-
-    def lower_bound(uncovered: int) -> int:
-        used = 0
-        count = 0
-        for v in _iter_bits(uncovered):
-            if nin[v] & used == 0:
-                used |= nin[v]
-                count += 1
-        return count
-
-    def recurse(size: int, chosen: int, covered: int) -> bool:
-        """Returns True when the cutoff fired and search should unwind."""
-        nonlocal best_size, best_mask, nodes
+    stack = [] if covered == full else [(forced.bit_count(), forced, covered)]
+    while stack:
+        size, chosen, covered = stack.pop()
         nodes += 1
         if covered == full:
             if size < best_size:
@@ -98,13 +90,21 @@ def _gamma_engine(nout: list[int], nin: list[int], n: int, cutoff: int | None):
                 best_mask = chosen
             if cutoff is not None and best_size <= cutoff:
                 pruned["cutoff"] += 1
-                return True
-            return False
+                break
+            continue
         uncovered = full & ~covered
-        if size + lower_bound(uncovered) >= best_size:
+        # lower bound: uncovered vertices with pairwise disjoint dominator sets
+        used = 0
+        bound = size
+        for v in _iter_bits(uncovered):
+            if nin[v] & used == 0:
+                used |= nin[v]
+                bound += 1
+        if bound >= best_size:
             pruned["bound"] += 1
-            return False
-        # branch on the uncovered vertex with fewest potential dominators
+            continue
+        # branch on the uncovered vertex with fewest potential dominators,
+        # pushed in reverse so the lowest dominator is searched first
         target = -1
         target_count = n + 1
         for v in _iter_bits(uncovered):
@@ -112,21 +112,16 @@ def _gamma_engine(nout: list[int], nin: list[int], n: int, cutoff: int | None):
             if c < target_count:
                 target = v
                 target_count = c
-        for w in _iter_bits(nin[target]):
-            if recurse(size + 1, chosen | (1 << w), covered | nout[w]):
-                return True
-        return False
-
-    if covered != full:
-        recurse(forced.bit_count(), forced, covered)
+        for w in reversed([*_iter_bits(nin[target])]):
+            stack.append((size + 1, chosen | 1 << w, covered | nout[w]))
     return best_size, best_mask, nodes, pruned
 
 
-def gamma(D: Digraph, cutoff: int | None = None) -> DomResult:
-    """Exact domination number with witness (upper bound only under cutoff)."""
+def gamma(D: Digraph) -> DomResult:
+    """Exact domination number with a minimum dominating set as witness."""
     nout = [D.out_rows[v] | (1 << v) for v in range(D.n)]
     nin = [D.in_rows[v] | (1 << v) for v in range(D.n)]
-    value, mask, nodes, pruned = _gamma_engine(nout, nin, D.n, cutoff)
+    value, mask, nodes, pruned = _gamma_engine(nout, nin, D.n, None)
     return DomResult(value, tuple(_iter_bits(mask)), nodes, pruned)
 
 

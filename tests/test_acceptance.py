@@ -87,7 +87,7 @@ def test_criterion_04_prisms():
 
 
 def test_criterion_05_bip_sandwich():
-    graphs = prism_corpus(count=50, seed=SEED)
+    graphs = prism_corpus(seed=SEED)
     violations = 0
     for G in graphs:
         value = dom(cartesian(G, complete(2))).value

@@ -227,12 +227,44 @@ def test_only_ascii_spaces_and_tabs_separate(tmp_path, capsys):
 def test_integer_flags_are_ascii_digits(flag, text, tmp_path, capsys):
     target = tmp_path / "p3.ug"
     target.write_text(format_graph(path(3)), encoding="utf-8")
+    # --seed is read by verify and props only
+    argv = ["props"] if flag == "--seed" else ["dom", "--graph", str(target), "--no-cache"]
     with pytest.raises(SystemExit) as exc:
-        main(["dom", "--graph", str(target), "--no-cache", flag, text])
+        main([*argv, flag, text])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {flag}: expected an integer, got {text!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [(["construct", "path:3"], ["--seed", "1"]), (["gamma", "--digraph", "F"], ["--max-edges", "3"]),
+     (["bounds", "--graph", "F"], ["--porcelain"])],
+    ids=["construct --seed", "gamma --max-edges", "bounds --porcelain"],
+)
+def test_flag_the_command_does_not_read_is_an_argument_error(argv, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + unread)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(unread)}\n")
+
+
+def test_every_command_takes_workers_and_cache_dir(tmp_path, capsys):
+    graph, digraph = tmp_path / "p3.ug", tmp_path / "c3.dg"
+    graph.write_text(format_graph(path(3)), encoding="utf-8")
+    digraph.write_text("dg 3 3\n0 1\n1 2\n2 0\n", encoding="utf-8")
+    extra = ["--workers", "1", "--cache-dir", str(tmp_path / "cache")]
+    for argv in (["construct", "path:3"], ["orient", "--scheme", "prism", "--params", "n=3"],
+                 ["dom", "--graph", str(graph)], ["gamma", "--digraph", str(digraph)],
+                 ["rho", "--digraph", str(digraph)], ["bounds", "--graph", str(graph)],
+                 ["verify", "counterexample"], ["props"]):
+        assert main(argv + extra) == 0, argv
+    assert set(build_parser().commands) == {"construct", "orient", "dom", "gamma", "rho",
+                                            "bounds", "verify", "props"}
+    capsys.readouterr()
 
 
 def test_top_help_names_no_exception_class(capsys):
@@ -415,6 +447,23 @@ def test_undecodable_cache_line_is_skipped(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cache.lookup(cycle(5)) == 3
+
+
+def test_cache_value_that_is_not_ascii_digits_is_skipped(tmp_path, capsys):
+    # a negative or signed value is no domination number: the scan runs instead
+    graph_file = tmp_path / "g.ug"
+    graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
+    cache = DomCache(tmp_path / "cache")
+    key = graph_key(cycle(5))
+    cache.directory.mkdir()
+    cache.path.write_text(
+        f"{key}\t-7\t{cache_mod.SOLVER_VERSION}\n{key}\t+3\t{cache_mod.SOLVER_VERSION}\n",
+        encoding="utf-8")
+    with pytest.warns(UserWarning, match="corrupt cache line") as record:
+        assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache.directory)]) == 0
+    assert len(record) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("value 3\nwitness ") and "cached" not in out
 
 
 def _src_env():

@@ -57,6 +57,6 @@ def test_corpora_are_deterministic():
 
 
 def test_prism_corpus_fits_scan_cap():
-    for G in prism_corpus(count=50, seed=0):
+    for G in prism_corpus(seed=0):
         assert G.n <= 7
         assert G.n + 2 * G.m <= 18

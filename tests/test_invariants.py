@@ -236,6 +236,7 @@ def _petersen():
 BLOSSOM_GRAPHS = {
     "C_5": (cycle(5), 2),
     "C_7": (cycle(7), 3),
+    "C_7 and three isolated vertices": (build_graph(10, cycle(7).edges), 3),
     "Petersen": (_petersen(), 5),
     "two triangles and a bridge": (build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]), 3),
     "3-petal flower": (build_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6)]), 3),

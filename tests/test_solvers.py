@@ -550,10 +550,23 @@ def test_row_dtype_boundaries(n, dtype, monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_gamma_cutoff_never_underestimates(bits):
     G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (1, 3), (2, 4), (3, 5)])
-    D = Orientation(G, bits).to_digraph()
-    exact = gamma(D).value
+    exact = gamma(Orientation(G, bits).to_digraph()).value
     for cutoff in range(exact + 2):
-        reported = gamma(D, cutoff=cutoff).value
+        reported = domsearch._exact_gamma(G.n, G.edges, bits, cutoff)
         assert reported >= exact  # any reported set is a real dominating set
         if reported > cutoff:
             assert reported == exact  # cutoff never fired: search was exhaustive
+
+
+def test_gamma_has_no_recursion_limit():
+    # 300 disjoint 2-cycles: the search runs 300 deep, past the lowered limit
+    D = build_digraph(600, [arc for i in range(300) for arc in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = gamma(D)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.value == 300
+    assert result.witness == tuple(range(0, 600, 2))
+    assert result.nodes_explored == 601
