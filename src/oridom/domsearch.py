@@ -19,27 +19,34 @@ attaining the floor.
 
 Masks are built in numpy chunks whose widths double from 1 (1, 1, 2, 4,
 ..., up to _CHUNK), so every chunk start is a multiple of its width and a
-scan that stops early builds few masks. One row buffer serves every
-chunk: its column j holds the closed out-rows of mask base ^ j, and
-flipping edge (u, v) is one XOR on row u and one on row v, since in a
-simple graph no other edge sets those bits. The buffer grows by copying
-its columns and flipping the next edge on the copy, and is rebased to
-each chunk start by flipping the edges set in base ^ start. Its dtype is
-the narrowest unsigned type holding n bits (uint8 up to n = 8, then
-uint16, uint32, uint64). Masks that provably cannot beat the incumbent
-are discarded in bulk:
+scan that stops early builds few masks. A scan whose floor meets its
+ceiling starts with _CLOSED_FIRST = 64 masks instead (64, 64, 128, ...).
+One row buffer serves every chunk: its column j holds the closed out-rows
+of mask base ^ j, and flipping edge (u, v) is one XOR on row u and one on
+row v, since in a simple graph no other edge sets those bits. The buffer
+grows by copying its columns and flipping the next edge on the copy, and
+is rebased to each chunk start by flipping the edges set in base ^ start.
+Its dtype is the narrowest unsigned type holding n bits (uint8 up to
+n = 8, then uint16, uint32, uint64). Masks that provably cannot beat the
+incumbent are discarded in bulk:
 
   * dominating sets are upward closed, so gamma <= incumbent iff some
     vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
     <= _SUBSET_BUDGET, the subsets are tested in blocks of about _BLOCK
-    (subset, orientation) pairs, one OR-reduction per block, and the
-    orientations a block dominates are dropped before the next block
-    (exact test: survivors have gamma > incumbent). A chunk of _GROUP_MIN
-    or more columns is first cut into aligned groups of 8, which differ
-    only in its lowest 3 edges; the group's first column with those arcs
-    cleared is a subdigraph of all 8, and adding arcs never raises gamma,
-    so a subset dominating it drops the group. The group rows recurse, and
-    only the columns of uncertified groups are tested one by one;
+    (subset, orientation) pairs, OR-ing one out-row per subset position into
+    the block's covers, and the orientations a block dominates are dropped
+    before the next block (exact test: survivors have gamma > incumbent).
+    When 2 incumbent > n, the blocks walk the smaller complements T
+    instead: V - T dominates iff every t in T has an in-neighbour outside
+    T. Each edge the call is given is exactly one arc, so t's open in-row
+    is its neighbours along those edges minus its out-row, and a subset
+    costs n - incumbent row ANDs. A chunk of _GROUP_MIN or more columns is
+    first cut into aligned groups of 8, which differ only in its lowest 3
+    edges; the group's first column with those arcs cleared is a
+    subdigraph of all 8, and adding arcs never raises gamma, so a subset
+    dominating it drops the group. The group rows recurse with the other
+    edges, and only the columns of uncertified groups are tested one by
+    one;
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
 
@@ -52,7 +59,8 @@ clearing the lowest set bit of pos maps each of its masks to a mask
 below pos that differs in one edge. Every gamma in the chunk is thus at
 most the incumbent + 1, the incumbent rises at most once per chunk, and
 the masks after the rise cannot beat it (the width-1 chunk at 0 has one
-mask anyway).
+mask anyway). When floor = ceiling, the one possible rise reaches the
+ceiling and stops the scan, so the wide first chunk needs no such bound.
 
 Isolated vertices are forced into every dominating set of every
 orientation; they are stripped before the scan and added back to the
@@ -79,6 +87,7 @@ _SUBSET_BUDGET = 800
 _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
 _GROUP_BITS = 3  # the exact filter certifies aligned groups of 1 << _GROUP_BITS columns
 _GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
+_CLOSED_FIRST = 64  # first chunk width of a scan whose floor meets its ceiling
 
 
 def _exact_gamma(n, edges, mask, cutoff):
@@ -94,10 +103,12 @@ def _exact_gamma(n, edges, mask, cutoff):
     return value
 
 
-def _chunk_rows(n, edges, stop):
+def _chunk_rows(n, edges, stop, first=1):
     """Yield (pos, rows) over [0, stop): rows[v][j] is v's closed out-row under mask pos + j.
 
-    rows is a view of one buffer, overwritten by the next step.
+    The first chunk has width `first` (a power of two), and each later chunk
+    starting at pos has width pos, up to _CHUNK. rows is a view of one
+    buffer, overwritten by the next step.
     """
     word = np.min_scalar_type((1 << n) - 1).type  # narrowest unsigned type holding n bits
     rows = np.empty((n, min(_CHUNK, stop)), dtype=word)
@@ -114,7 +125,7 @@ def _chunk_rows(n, edges, stop):
         rows[v, cols] ^= word(1 << u)
 
     while pos < stop:
-        width = min(_CHUNK, stop - pos, max(1, pos))
+        width = min(_CHUNK, stop - pos, max(first, pos))
         while filled < width:
             rows[:, filled : 2 * filled] = rows[:, :filled]
             flip(filled.bit_length() - 1, slice(filled, 2 * filled))
@@ -132,6 +143,14 @@ def _subsets(n, k):
     subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
     subsets.flags.writeable = False
     return subsets
+
+
+@functools.cache
+def _subset_masks(n, k):
+    """Read-only uint64 bitmasks of the rows of _subsets(n, k)."""
+    masks = np.bitwise_or.reduce(np.uint64(1) << _subsets(n, k).astype(np.uint64), axis=1)
+    masks.flags.writeable = False
+    return masks
 
 
 def _drop_covered(rows, n, cap, edges):
@@ -155,12 +174,36 @@ def _drop_covered(rows, n, cap, edges):
             groups = _drop_covered(shared, n, cap, edges[_GROUP_BITS:])
             alive = (groups[:, None] * group + np.arange(group)).ravel()
             rows = rows[:, alive]
-        subsets = _subsets(n, cap)
+        # a cap-subset S dominates iff each t outside S has an in-neighbour in S;
+        # for 2 cap > n, walk the smaller complements T = V - S instead
+        dual = 2 * cap > n
+        size = n - cap if dual else cap
+        if dual:
+            # each edge given is exactly one arc (group rows pass on only the edges whose
+            # arcs they keep), so t's open in-row is its neighbours minus its out-row
+            adj = [0] * n
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            rows = np.array(adj, dtype=rows.dtype)[:, None] & ~rows
+            outside = ~_subset_masks(n, size)[:, None].astype(rows.dtype)
+        subsets = _subsets(n, size)
         start = 0
         while start < len(subsets) and alive.size:
             block = subsets[start : start + max(1, _BLOCK // alive.size)]
+            if dual:
+                # the minimum over T is nonzero iff every t in T has an in-neighbour outside T
+                free = outside[start : start + len(block)]
+                reach = rows[block[:, 0]] & free
+                for i in range(1, size):
+                    np.minimum(reach, rows[block[:, i]] & free, out=reach)
+                keep = reach.max(axis=0) == 0
+            else:
+                cover = rows[block[:, 0]]
+                for i in range(1, size):
+                    cover |= rows[block[:, i]]
+                keep = cover.max(axis=0) != full  # no cover in the block is full
             start += len(block)
-            keep = (np.bitwise_or.reduce(rows[block], axis=1) != full).all(axis=0)
             if not keep.all():
                 alive = alive[keep]
                 rows = rows.compress(keep, axis=1)  # faster than rows[:, keep]
@@ -194,7 +237,10 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     best_mask = -1
     explored = exact_evals = ceiling_stop = 0
 
-    for pos, rows in _chunk_rows(n, edges, 1 << G.m):
+    # a closed sandwich has one possible rise, to the ceiling, and it stops the
+    # scan; with no one-rise break to protect, the first chunk can be wide
+    first = _CLOSED_FIRST if floor == ceiling else 1
+    for pos, rows in _chunk_rows(n, edges, 1 << G.m, first):
         for offset in map(int, _drop_covered(rows, n, best_val, edges)):
             value = _exact_gamma(n, edges, pos + offset, best_val)
             exact_evals += 1

@@ -30,8 +30,8 @@ def max_independent_set_masks(adj: list[int], n: int) -> int:
     Returns the witness as a bitmask: the first maximum leaf of a DFS that
     branches on the highest-degree vertex left (ties to the lowest index),
     include before exclude. The bounds (vertices left, a greedy clique
-    cover) and taking an independent remainder whole skip only subtrees with
-    no larger leaf, so they never change which leaf that is.
+    cover) and taking a remainder of maximum degree <= 1 whole skip only
+    subtrees with no larger leaf, so they never change which leaf that is.
     """
     best_size = best_mask = 0
     todo = [((1 << n) - 1, 0, 0)]  # (remaining, chosen, size); an explicit stack, no depth limit
@@ -45,8 +45,17 @@ def max_independent_set_masks(adj: list[int], n: int) -> int:
                 if deg > pick_deg:
                     pick, pick_deg = low.bit_length() - 1, deg
                 left ^= low
-            if pick < 0:  # independent: the DFS's first leaf below takes all of it
-                best_size, best_mask = size + remaining.bit_count(), chosen | remaining
+            if pick_deg <= 1:
+                # isolated vertices and disjoint edges: the DFS's first leaf below
+                # takes each edge's lower end (the lowest vertex of degree 1 is
+                # one), and no leaf below is larger
+                take, left = remaining, remaining
+                while left:
+                    low = left & -left
+                    take &= ~(adj[low.bit_length() - 1] & remaining & -(low << 1))
+                    left ^= low
+                if size + take.bit_count() > best_size:
+                    best_size, best_mask = size + take.bit_count(), chosen | take
                 break
             # greedy clique cover, lowest vertex first; stops once it cannot prune
             cliques, left = 0, remaining

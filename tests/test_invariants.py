@@ -36,6 +36,7 @@ from oridom.invariants import (
 )
 from oridom.orientations import acyclic_lex_cycle_orientation
 from oridom.products import cartesian, lexicographic
+from oridom.solvers import rho
 
 
 def test_independence_number_examples():
@@ -224,6 +225,27 @@ def test_mis_witness_matches_reference_kernel():
                 assert max_independent_set_masks(rows, n) == reference_max_independent_set_masks(rows, n)
                 conflicts += 1
     assert conflicts == 1 + 2 + 4 + 16 + 3 * 16 + 6 * 32 + 11 * 64
+
+
+def test_mis_matches_brute_force_maximum():
+    # sparse graphs often leave remainders of maximum degree <= 1, which are taken whole
+    rng = random.Random(20)
+    for _ in range(300):
+        n, p = rng.randint(1, 12), rng.random() * rng.choice((0.2, 1.0))
+        G = build_graph(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < p])
+        mask = max_independent_set_masks(list(G.adj), n)
+        assert mask.bit_count() == brute_independence(G)
+        assert not any(mask >> u & mask >> v & 1 for u, v in G.edges)
+
+
+def test_rho_of_disjoint_two_cycles():
+    # the conflict graph is a perfect matching: one remainder of maximum degree 1,
+    # whose first maximum leaf takes the lower end of each pair
+    k = 1500
+    D = build_digraph(2 * k, [arc for i in range(k) for arc in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i))])
+    result = rho(D)
+    assert result.value == k
+    assert result.witness == tuple(range(0, 2 * k, 2))
 
 
 def _petersen():

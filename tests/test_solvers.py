@@ -491,6 +491,49 @@ def test_dom_does_not_depend_on_grouping(G):
             )
 
 
+@given(st.one_of(chunked_graphs(), small_graphs()))
+@settings(max_examples=30, deadline=None)
+def test_dom_does_not_depend_on_closed_scan_first_width(G):
+    # bipartite graphs are closed sandwiches (Konig), so many of these start at
+    # _CLOSED_FIRST masks; width 1,024 also groups the first chunk, and budget 0
+    # puts the greedy cover in place of the exact filter
+    for budget in (domsearch._SUBSET_BUDGET, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_SUBSET_BUDGET", budget)
+            default = dom(G)
+            for first in (1, 1 << 10):
+                mp.setattr(domsearch, "_CLOSED_FIRST", first)
+                result = dom(G)
+                assert (result.value, result.witness.bits, result.nodes_explored, result.pruned_by) == (
+                    default.value, default.witness.bits, default.nodes_explored, default.pruned_by
+                )
+
+
+@given(chunked_graphs())
+@settings(max_examples=15, deadline=None)
+def test_drop_covered_complement_form_on_group_rows(G):
+    # caps with 2 cap > n walk the complements and read in-rows off the edges
+    # they are given; group rows clear the arcs of the lowest `bits` edges and
+    # are the orientations of the other edges, in mask order
+    n = G.n
+    reference = _reference_rows([Orientation(G, b).to_digraph() for b in range(1 << G.m)], n, np.uint8)
+    for bits in (0, 1, 3):
+        rest = build_graph(n, G.edges[bits:])
+        cleared = [(1 << n) - 1] * n
+        for u, v in G.edges[:bits]:
+            cleared[u] &= ~(1 << v)
+            cleared[v] &= ~(1 << u)
+        rows = reference[:, :: 1 << bits] & np.array(cleared, dtype=np.uint8)[:, None]
+        digraphs = [Orientation(rest, b).to_digraph() for b in range(1 << rest.m)]
+        assert np.array_equal(rows, _reference_rows(digraphs, n, np.uint8))
+        gammas = np.array([gamma(D).value for D in digraphs])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_GROUP_MIN", 8)
+            for cap in range(n // 2 + 1, n - 1):
+                alive = _drop_covered(rows, n, cap, rest.edges)
+                assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+
+
 @pytest.mark.parametrize(
     "G, expected, exact_evals",
     [
