@@ -8,6 +8,7 @@ on one vertex fewer and deduplicating with a rooted canonical encoding.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -52,35 +53,26 @@ def prism_corpus(seed: int = DEFAULT_SEED) -> list[UndirectedGraph]:
 
 def multipartite_instances(max_edges: int) -> list[tuple[int, ...]]:
     """All ascending part-size tuples (k >= 2) with at most max_edges edges."""
-    out: set[tuple[int, ...]] = set()
-    first_cap = int(max_edges**0.5) + 1
+    out: list[tuple[int, ...]] = []
 
     def extend(parts: list[int], total: int, edges: int):
         if len(parts) >= 2:
-            out.add(tuple(parts))
-        s = parts[-1] if parts else 1
-        while True:
-            if total == 0:
-                if s > first_cap:
-                    break
-                added = 0
-            else:
-                added = s * total
-                if edges + added > max_edges:
-                    break
+            out.append(tuple(parts))
+        s = parts[-1]
+        while edges + s * total <= max_edges:  # a part of size s adds s * total edges
             parts.append(s)
-            extend(parts, total + s, edges + added)
+            extend(parts, total + s, edges + s * total)
             parts.pop()
             s += 1
 
-    extend([], 0, 0)
+    # the first two parts already span first * second >= first^2 edges
+    for first in range(1, math.isqrt(max_edges) + 1):
+        extend([first], first, 0)
     return sorted(out, key=lambda t: (len(t), t))
 
 
 def _tree_canon(n: int, edges: list[tuple[int, int]]) -> str:
     """Canonical encoding of an unrooted tree: root at its center(s)."""
-    if n == 1:
-        return "()"
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)

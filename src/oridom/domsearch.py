@@ -51,7 +51,10 @@ incumbent are discarded in bulk:
     certifies gamma <= incumbent for everything it covers.
 
 Survivors get an exact branch-and-bound gamma with the incumbent as
-cutoff, and the first survivor that raises the incumbent ends its chunk.
+cutoff, on the closed out-rows of their own chunk column; the closed
+in-row of v is adj[v] & ~out[v] | v, since each edge is exactly one arc.
+Only _chunk_rows turns a mask into arcs. The first survivor that raises
+the incumbent ends its chunk.
 Reversing one arc changes gamma by at most 1: if S dominates D, then S
 plus the reversed arc's new tail dominates the result. A chunk [pos,
 pos + w) with pos > 0 has pos a multiple of its power-of-two width w, so
@@ -63,8 +66,9 @@ mask anyway). When floor = ceiling, the one possible rise reaches the
 ceiling and stops the scan, so the wide first chunk needs no such bound.
 
 Isolated vertices are forced into every dominating set of every
-orientation; they are stripped before the scan and added back to the
-value. The witness is always the smallest bitmask attaining the value.
+orientation; they are stripped before the scan, whose floor and ceiling
+are the sandwich of the stripped graph, and added back to the value.
+The witness is always the smallest bitmask attaining the value.
 """
 
 from __future__ import annotations
@@ -88,19 +92,6 @@ _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
 _GROUP_BITS = 3  # the exact filter certifies aligned groups of 1 << _GROUP_BITS columns
 _GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
 _CLOSED_FIRST = 64  # first chunk width of a scan whose floor meets its ceiling
-
-
-def _exact_gamma(n, edges, mask, cutoff):
-    """gamma of one orientation; may return any certified value <= cutoff."""
-    nout = [1 << v for v in range(n)]
-    nin = [1 << v for v in range(n)]
-    for e, (u, v) in enumerate(edges):
-        if mask >> e & 1:
-            u, v = v, u
-        nout[u] |= 1 << v
-        nin[v] |= 1 << u
-    value, _, _, _ = _gamma_engine(nout, nin, n, cutoff)
-    return value
 
 
 def _chunk_rows(n, edges, stop, first=1):
@@ -232,7 +223,7 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     floor - 1 if no mask reaches floor. tallies["ceiling_stop"] is 1 if
     the scan stopped at the ceiling, else 0.
     """
-    n, edges = G.n, G.edges
+    n, edges, adj = G.n, G.edges, G.adj
     best_val = floor - 1
     best_mask = -1
     explored = exact_evals = ceiling_stop = 0
@@ -242,7 +233,9 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     first = _CLOSED_FIRST if floor == ceiling else 1
     for pos, rows in _chunk_rows(n, edges, 1 << G.m, first):
         for offset in map(int, _drop_covered(rows, n, best_val, edges)):
-            value = _exact_gamma(n, edges, pos + offset, best_val)
+            out = rows[:, offset].tolist()  # one arc per edge gives the in-rows
+            into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(adj, out))]
+            value = _gamma_engine(out, into, n, best_val)[0]
             exact_evals += 1
             if value > best_val:
                 # the chunk's one rise: no later mask in it can beat the new incumbent
@@ -283,14 +276,10 @@ def dom(G: UndirectedGraph, max_edges: int = DEFAULT_EDGE_CAP) -> DomResult:
             f"orientation scan supports at most 64 non-isolated vertices, got {scan_graph.n}"
         )
 
-    alpha, upper, _ = sandwich(G)
-    scan_floor, scan_ceiling = alpha - iso, upper - iso
-
-    best_val, best_mask, explored, pruned = _scan(scan_graph, scan_floor, scan_ceiling)
+    floor, ceiling, _ = sandwich(scan_graph)
+    best_val, best_mask, explored, pruned = _scan(scan_graph, floor, ceiling)
     if best_mask < 0:
-        raise RuntimeError(
-            f"no orientation reached the alpha floor {scan_floor + iso}, but DOM >= alpha"
-        )
+        raise RuntimeError(f"no orientation reached the alpha floor {floor}, but DOM >= alpha")
     return DomResult(best_val + iso, Orientation(G, best_mask), explored, pruned)
 
 

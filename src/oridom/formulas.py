@@ -1,8 +1,9 @@
 """Bound calculators and closed-form evaluators for orientable domination.
 
 Each function is a bound or a closed form for DOM; the checks that compare
-them with exact search live in ``verify``. Only ``corona_dom`` needs the
-DOM values of its factors, so it alone takes a ``solver``.
+them with exact search live in ``verify``. Bounds come as a BoundsReport,
+and only dom_bounds names the rules behind its ends. Only ``corona_dom``
+needs the DOM values of its factors, so it alone takes a ``solver``.
 
 The log-based complete-graph bounds are the only floating-point arithmetic
 in the package; values within 1e-9 of an integer are snapped before
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .domsearch import Solver
 from .graphs import UndirectedGraph, complete
@@ -26,11 +27,11 @@ _TIE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower/upper bounds with the rule that produced each value."""
+    """Lower/upper bounds on DOM; only dom_bounds names their rules in sources."""
 
     lower: int
     upper: int
-    sources: dict
+    sources: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -66,7 +67,7 @@ def erdos_szekeres_bounds(n: int) -> BoundsReport:
     log_log_n = math.log2(log_n)
     lower = max(1, math.ceil(_snap(log_n - 2 * log_log_n)))
     upper = math.floor(_snap(log_n - log_log_n + 2))
-    return BoundsReport(lower, upper, {"log_lower": lower, "log_upper": upper})
+    return BoundsReport(lower, upper)
 
 
 def corona_dom(G: UndirectedGraph, H: UndirectedGraph, solver: Solver | None = None) -> int:
@@ -108,14 +109,7 @@ def multipartite_dom_bounds(*sizes: int) -> BoundsReport:
         raise ValueError(f"need at least 2 parts, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive: {sizes}")
-    ordered = tuple(sorted(sizes))
-    k = len(ordered)
-    largest = ordered[-1]
-    sources = {"largest_part": largest, "part_count": k}
-    if k == 2:
-        sources["bipartite_equality"] = largest
-        return BoundsReport(largest, largest, sources)
-    if largest >= k:
-        sources["largest_part_dominates"] = largest
-        return BoundsReport(largest, largest, sources)
-    return BoundsReport(largest, max(largest, k), sources)
+    k, largest = len(sizes), max(sizes)
+    if k == 2 or largest >= k:
+        return BoundsReport(largest, largest)
+    return BoundsReport(largest, k)

@@ -7,11 +7,11 @@ some maximum independent set, so it is taken and its closed neighbourhood
 removed; a degree-2 vertex v with non-adjacent neighbours a, b is folded
 with them into one vertex adjacent to N(a) | N(b) - v, which lowers alpha
 by exactly 1. A remainder of minimum degree 3 takes n - nu if bipartite
-(Konig), and an exact branch and bound otherwise. sandwich(G) gives both
-ends of alpha <= DOM <= n - nu from one matching. One two-colouring check
-serves is_bipartite and max_induced_bipartite_order. All searches are
-deterministic: ties break on canonical vertex / edge order, so witnesses
-are reproducible across runs.
+(Konig), and an exact branch and bound per connected component otherwise.
+sandwich(G) gives both ends of alpha <= DOM <= n - nu from one matching.
+One two-colouring check serves is_bipartite and max_induced_bipartite_order.
+All searches are deterministic: ties break on canonical vertex / edge
+order, so witnesses are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -29,21 +29,44 @@ def max_independent_set_masks(adj: list[int], n: int) -> int:
 
     Returns the witness as a bitmask: the first maximum leaf of a DFS that
     branches on the highest-degree vertex left (ties to the lowest index),
-    include before exclude. The bounds (vertices left, a greedy clique
-    cover) and taking a remainder of maximum degree <= 1 whole skip only
-    subtrees with no larger leaf, so they never change which leaf that is.
+    include before exclude. The DFS's choices inside one connected
+    component do not depend on the others, so each component is searched
+    alone and the leaves are OR-ed. The bounds (vertices left, a greedy
+    clique cover that starts with each degree-1 vertex and its neighbour)
+    and taking a remainder of maximum degree <= 1 whole skip only subtrees
+    with no larger leaf, so they never change which leaf that is.
     """
+    witness, rest = 0, (1 << n) - 1
+    while rest:
+        component = frontier = rest & -rest  # breadth first from the lowest vertex left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~component
+            component |= frontier
+        rest &= ~component
+        witness |= _first_maximum_leaf(adj, component)
+    return witness
+
+
+def _first_maximum_leaf(adj: list[int], component: int) -> int:
+    """max_independent_set_masks' DFS on one connected component."""
     best_size = best_mask = 0
-    todo = [((1 << n) - 1, 0, 0)]  # (remaining, chosen, size); an explicit stack, no depth limit
+    todo = [(component, 0, 0)]  # (remaining, chosen, size); an explicit stack, no depth limit
     while todo:
         remaining, chosen, size = todo.pop()
         while size + remaining.bit_count() > best_size:
-            pick, pick_deg, left = -1, 0, remaining
+            pick, pick_deg, leaves, left = -1, 0, 0, remaining
             while left:
                 low = left & -left
                 deg = (adj[low.bit_length() - 1] & remaining).bit_count()
                 if deg > pick_deg:
                     pick, pick_deg = low.bit_length() - 1, deg
+                if deg == 1:
+                    leaves |= low
                 left ^= low
             if pick_deg <= 1:
                 # isolated vertices and disjoint edges: the DFS's first leaf below
@@ -57,10 +80,11 @@ def max_independent_set_masks(adj: list[int], n: int) -> int:
                 if size + take.bit_count() > best_size:
                     best_size, best_mask = size + take.bit_count(), chosen | take
                 break
-            # greedy clique cover, lowest vertex first; stops once it cannot prune
+            # greedy clique cover, degree-1 vertices first; stops once it cannot prune
             cliques, left = 0, remaining
             while left and size + cliques <= best_size:
-                low = left & -left
+                low = leaves & left or left
+                low &= -low
                 common = adj[low.bit_length() - 1] & left
                 left ^= low
                 while common:

@@ -180,3 +180,26 @@ def reference_max_independent_set_masks(adj, n):
 
     recurse(full, 0, 0)
     return best_mask
+
+
+def first_maximum_leaf(adj, n):
+    """First maximum leaf of the unbounded independent-set DFS.
+
+    Branches on the highest-degree vertex of the remaining graph (ties to
+    the lowest index), include before exclude, with no bound of any kind;
+    a leaf replaces the best only if it is strictly larger.
+    """
+    best = [0, 0]  # size, mask
+
+    def recurse(remaining, chosen, size):
+        if remaining == 0:
+            if size > best[0]:
+                best[:] = [size, chosen]
+            return
+        pick = max(_bits(remaining), key=lambda v: ((adj[v] & remaining).bit_count(), -v))
+        bit = 1 << pick
+        recurse(remaining & ~(adj[pick] | bit), chosen | bit, size + 1)
+        recurse(remaining & ~bit, chosen, size)
+
+    recurse((1 << n) - 1, 0, 0)
+    return best[1]

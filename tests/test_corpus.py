@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 from oridom.corpus import (
     _tree_canon,
     all_trees,
@@ -46,6 +48,20 @@ def test_multipartite_instances_cap():
     assert (1, 1, 1, 1, 1, 1) in instances
     assert (2, 2, 4) not in instances  # 20 edges
     assert (2, 2, 4) in multipartite_instances(20)
+
+
+def test_multipartite_instances_match_enumeration():
+    # k parts span at least C(k, 2) edges, and the largest part s_k spans at
+    # least s_k (k - 1) edges with the others, so these loops reach every tuple
+    for max_edges in range(31):
+        expected = []
+        k = 2
+        while k * (k - 1) // 2 <= max_edges:
+            for sizes in combinations_with_replacement(range(1, max_edges // (k - 1) + 1), k):
+                if (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 <= max_edges:
+                    expected.append(sizes)
+            k += 1
+        assert multipartite_instances(max_edges) == expected
 
 
 def test_corpora_are_deterministic():

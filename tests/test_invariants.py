@@ -8,6 +8,7 @@ from brute import (
     brute_bip,
     brute_independence,
     brute_matching,
+    first_maximum_leaf,
     reference_max_independent_set_masks,
 )
 from oridom.corpus import all_trees
@@ -35,7 +36,7 @@ from oridom.invariants import (
     sandwich,
 )
 from oridom.orientations import acyclic_lex_cycle_orientation
-from oridom.products import cartesian, lexicographic
+from oridom.products import cartesian, corona, lexicographic
 from oridom.solvers import rho
 
 
@@ -246,6 +247,41 @@ def test_rho_of_disjoint_two_cycles():
     result = rho(D)
     assert result.value == k
     assert result.witness == tuple(range(0, 2 * k, 2))
+
+
+def _mis_test_graph(rng):
+    """A random graph on at most 12 vertices: often disconnected, often with pendant vertices."""
+    n = rng.randint(1, 12)
+    cut, p = rng.randint(1, n), rng.random()  # no edge crosses the cut
+    edges = [(u, v) for u in range(n) for v in range(u) if (u < cut) == (v < cut) and rng.random() < p]
+    for leaf in rng.sample(range(1, n), rng.randint(0, n - 1) // 2):
+        edges = [e for e in edges if leaf not in e] + [(leaf, rng.randrange(leaf))]
+    return build_graph(n, edges)
+
+
+def test_mis_is_the_first_maximum_leaf():
+    # per-component search and the leaf-first clique cover keep the unbounded DFS's leaf
+    rng = random.Random(21)
+    for _ in range(300):
+        G = _mis_test_graph(rng)
+        adj = list(G.adj)
+        assert max_independent_set_masks(adj, G.n) == first_maximum_leaf(adj, G.n)
+
+
+def test_rho_of_disjoint_directed_triangles_and_paths():
+    # conflict graphs of 1,000 triangles and of 1,000 paths a-b-c-d, one component each
+    D = build_digraph(3000, [arc for i in range(0, 3000, 3) for arc in ((i, i + 1), (i + 1, i + 2), (i + 2, i))])
+    assert rho(D).witness == tuple(range(0, 3000, 3))
+    D = build_digraph(4000, [arc for i in range(0, 4000, 4) for arc in ((i, i + 1), (i + 1, i + 2), (i + 2, i + 3))])
+    assert rho(D).witness == tuple(v for i in range(0, 4000, 4) for v in (i + 1, i + 3))
+
+
+def test_mis_of_a_comb():
+    # a lowest-first clique cover pairs spine edges, bounding alpha by 300; leaves first gives 200
+    G = corona(path(200), complete(1))
+    witness = max_independent_set(G)
+    assert len(witness) == 200
+    assert not any(G.has_edge(u, v) for u in witness for v in witness)
 
 
 def _petersen():

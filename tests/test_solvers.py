@@ -29,7 +29,7 @@ from oridom.graphs import (
 from oridom.invariants import independence_number
 from oridom.orientations import acyclic_lex_cycle_orientation, k222_orientation
 from oridom.products import cartesian, corona
-from oridom.solvers import dom_oracle, gamma, is_dominating, is_packing, rho
+from oridom.solvers import _gamma_engine, dom_oracle, gamma, is_dominating, is_packing, rho
 
 
 def directed_cycle(n):
@@ -593,12 +593,27 @@ def test_row_dtype_boundaries(n, dtype, monkeypatch):
 @settings(max_examples=30, deadline=None)
 def test_gamma_cutoff_never_underestimates(bits):
     G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (1, 3), (2, 4), (3, 5)])
-    exact = gamma(Orientation(G, bits).to_digraph()).value
+    D = Orientation(G, bits).to_digraph()
+    exact = gamma(D).value
+    out = [D.out_rows[v] | 1 << v for v in range(G.n)]
+    into = [D.in_rows[v] | 1 << v for v in range(G.n)]
     for cutoff in range(exact + 2):
-        reported = domsearch._exact_gamma(G.n, G.edges, bits, cutoff)
+        reported = _gamma_engine(out, into, G.n, cutoff)[0]
         assert reported >= exact  # any reported set is a real dominating set
         if reported > cutoff:
             assert reported == exact  # cutoff never fired: search was exhaustive
+
+
+@pytest.mark.parametrize(
+    "G", [cycle(5), complete(5), multipartite(1, 2, 3), path(4)], ids=["C_5", "K_5", "K_{1,2,3}", "P_4"]
+)
+def test_scan_in_rows_are_neighbours_minus_out_rows(G):
+    # _scan reads each survivor's closed in-rows as adj & ~out | own bit: each edge is one arc
+    for pos, rows in _chunk_rows(G.n, G.edges, 1 << G.m):
+        for j, out in enumerate(rows.T.tolist()):
+            D = Orientation(G, pos + j).to_digraph()
+            into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(G.adj, out))]
+            assert into == [D.in_rows[v] | 1 << v for v in range(G.n)]
 
 
 def test_gamma_has_no_recursion_limit():
