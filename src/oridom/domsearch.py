@@ -21,11 +21,14 @@ Masks are built in numpy chunks whose widths double from 1 (1, 1, 2, 4,
 ..., up to _CHUNK), so every chunk start is a multiple of its width and a
 scan that stops early builds few masks. A scan whose floor meets its
 ceiling starts with _CLOSED_FIRST = 64 masks instead (64, 64, 128, ...).
-One row buffer serves every chunk: its column j holds the closed out-rows
-of mask base ^ j, and flipping edge (u, v) is one XOR on row u and one on
-row v, since in a simple graph no other edge sets those bits. The buffer
-grows by copying its columns and flipping the next edge on the copy, and
-is rebased to each chunk start by flipping the edges set in base ^ start.
+One row buffer serves every chunk. Flipping edge (u, v) toggles bit v of
+row u and bit u of row v, since in a simple graph no other edge sets
+those bits. Below _CHUNK, column j holds the closed out-rows of mask j:
+the buffer doubles by one XOR of columns [0, f) with the bits of edge
+log2(f) into columns [f, 2f), so chunk [pos, 2 pos) is the half the last
+doubling wrote. From _CHUNK on, column j holds mask base ^ j, and the
+buffer is rebased to each chunk start by flipping the edges set in
+base ^ start on their two rows.
 Its dtype is the narrowest unsigned type holding n bits (uint8 up to
 n = 8, then uint16, uint32, uint64). Masks that provably cannot beat the
 incumbent are discarded in bulk:
@@ -45,8 +48,8 @@ incumbent are discarded in bulk:
     edges; the group's first column with those arcs cleared is a
     subdigraph of all 8, and adding arcs never raises gamma, so a subset
     dominating it drops the group. The group rows recurse with the other
-    edges, and only the columns of uncertified groups are tested one by
-    one;
+    edges, and only the columns of uncertified groups, gathered as whole
+    blocks of 8, are tested one by one;
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
 
@@ -99,32 +102,34 @@ def _chunk_rows(n, edges, stop, first=1):
 
     The first chunk has width `first` (a power of two), and each later chunk
     starting at pos has width pos, up to _CHUNK. rows is a view of one
-    buffer, overwritten by the next step.
+    buffer, overwritten by the next step: below _CHUNK its column j holds
+    mask j and it doubles, from _CHUNK on it is rebased to each chunk start.
     """
     word = np.min_scalar_type((1 << n) - 1).type  # narrowest unsigned type holding n bits
-    rows = np.empty((n, min(_CHUNK, stop)), dtype=word)
+    rows = np.empty((n, min(_CHUNK, 1 << (stop - 1).bit_length())), dtype=word)
+    delta = np.zeros((len(edges), n, 1), dtype=word)  # the bits flipping edge e changes
     out = [1 << v for v in range(n)]
-    for u, v in edges:
+    for e, (u, v) in enumerate(edges):
         out[u] |= 1 << v
+        delta[e, u], delta[e, v] = 1 << v, 1 << u
     rows[:, 0] = np.array(out, dtype=word)
-    base = pos = 0
-    filled = 1
-
-    def flip(e, cols):
-        u, v = edges[e]
-        rows[u, cols] ^= word(1 << v)
-        rows[v, cols] ^= word(1 << u)
-
+    base, pos, filled = 0, 0, 1
     while pos < stop:
         width = min(_CHUNK, stop - pos, max(first, pos))
-        while filled < width:
-            rows[:, filled : 2 * filled] = rows[:, :filled]
-            flip(filled.bit_length() - 1, slice(filled, 2 * filled))
-            filled *= 2
-        for e in _iter_bits(base ^ pos):
-            flip(e, slice(0, filled))
-        base = pos
-        yield pos, rows[:, :width]
+        if pos < _CHUNK:  # column j holds mask j
+            while filled < pos + width:
+                np.bitwise_xor(
+                    rows[:, :filled], delta[filled.bit_length() - 1], out=rows[:, filled : 2 * filled]
+                )
+                filled *= 2
+            yield pos, rows[:, pos : pos + width]
+        else:
+            for e in _iter_bits(base ^ pos):
+                u, v = edges[e]
+                rows[u] ^= word(1 << v)
+                rows[v] ^= word(1 << u)
+            base = pos
+            yield pos, rows[:, :width]
         pos += width
 
 
@@ -137,11 +142,12 @@ def _subsets(n, k):
 
 
 @functools.cache
-def _subset_masks(n, k):
-    """Read-only uint64 bitmasks of the rows of _subsets(n, k)."""
-    masks = np.bitwise_or.reduce(np.uint64(1) << _subsets(n, k).astype(np.uint64), axis=1)
-    masks.flags.writeable = False
-    return masks
+def _outside(n, k, dtype):
+    """Read-only (C(n, k), 1) dtype array: each row of _subsets(n, k) as a bitmask, complemented."""
+    masks = np.bitwise_or.reduce(dtype.type(1) << _subsets(n, k).astype(dtype), axis=1)
+    outside = ~masks[:, None]
+    outside.flags.writeable = False
+    return outside
 
 
 def _drop_covered(rows, n, cap, edges):
@@ -149,10 +155,11 @@ def _drop_covered(rows, n, cap, edges):
 
     Columns j and j ^ i of rows differ only in the edges whose bits are set in i.
     """
-    alive = np.arange(rows.shape[1])
+    if cap < 1:
+        return np.arange(rows.shape[1])
     full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
-    if cap >= 1 and math.comb(n, cap) <= _SUBSET_BUDGET:
+    if math.comb(n, cap) <= _SUBSET_BUDGET:
         # exact filter (upward closure): survivors are precisely gamma > cap
         if rows.shape[1] >= _GROUP_MIN:
             # a group's first column, with the arcs of the group's edges cleared, is
@@ -161,10 +168,13 @@ def _drop_covered(rows, n, cap, edges):
             for u, v in edges[:_GROUP_BITS]:
                 shared[u] &= ~(1 << v)
                 shared[v] &= ~(1 << u)
-            shared = rows[:, ::group] & np.array(shared, dtype=rows.dtype)[:, None]
+            blocks = rows.reshape(n, -1, group)  # blocks[:, g] is group g's columns
+            shared = blocks[:, :, 0] & np.array(shared, dtype=rows.dtype)[:, None]
             groups = _drop_covered(shared, n, cap, edges[_GROUP_BITS:])
             alive = (groups[:, None] * group + np.arange(group)).ravel()
-            rows = rows[:, alive]
+            rows = blocks[:, groups].reshape(n, -1)
+        else:
+            alive = np.arange(rows.shape[1])
         # a cap-subset S dominates iff each t outside S has an in-neighbour in S;
         # for 2 cap > n, walk the smaller complements T = V - S instead
         dual = 2 * cap > n
@@ -177,7 +187,7 @@ def _drop_covered(rows, n, cap, edges):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             rows = np.array(adj, dtype=rows.dtype)[:, None] & ~rows
-            outside = ~_subset_masks(n, size)[:, None].astype(rows.dtype)
+            outside = _outside(n, size, rows.dtype)
         subsets = _subsets(n, size)
         start = 0
         while start < len(subsets) and alive.size:
@@ -198,8 +208,9 @@ def _drop_covered(rows, n, cap, edges):
             if not keep.all():
                 alive = alive[keep]
                 rows = rows.compress(keep, axis=1)  # faster than rows[:, keep]
-    elif cap >= 1:
+    else:
         # greedy cover for `cap` rounds; covered implies gamma <= cap
+        alive = np.arange(rows.shape[1])
         cover = np.zeros(alive.size, dtype=rows.dtype)
         for _ in range(cap):
             if alive.size == 0:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -420,9 +421,22 @@ def test_independence_number_with_chords_matches_brute(G):
 
 
 def test_mis_kernel_has_no_recursion_limit():
-    # the include branch runs 1,001 deep, past Python's default recursion limit
+    # 1,001 disjoint edges are 1,001 components, each taken whole without branching
     G = build_graph(2002, [(2 * i, 2 * i + 1) for i in range(1001)])
     assert max_independent_set(G) == tuple(range(0, 2002, 2))
+    # one connected chain of 300 triangles {3i, 3i+1, 3i+2}, 3i+2 joined to 3i+3:
+    # the include branch runs 200 deep, past the lowered limit (the search grows
+    # faster than quadratically in the chain length, so a 1,000-deep case is slow)
+    k = 300
+    triangles = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    G = build_graph(3 * k, triangles + [(3 * i + 2, 3 * i + 3) for i in range(k - 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        witness = max_independent_set(G)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert witness == tuple(3 * i + (2, 1, 0)[i % 3] for i in range(k))
 
 
 def _tutte_berge_bound(G, barrier):

@@ -407,6 +407,52 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
         assert result.nodes_explored == tally["vector_filtered"] + tally["exact_evals"]
 
 
+@pytest.mark.parametrize("chunk", [8, 16, domsearch._CHUNK])
+@pytest.mark.parametrize("first", [1, domsearch._CLOSED_FIRST])
+@pytest.mark.parametrize("stop", [100, 1 << 10])
+def test_chunk_rows_grow_then_rebase(chunk, first, stop, monkeypatch):
+    # below _CHUNK the buffer doubles and each chunk is the half it last wrote;
+    # _CHUNK 8 and 16 hand over to the rebased buffer, inside the first wide
+    # chunk at _CLOSED_FIRST; stop 100 ends in a part chunk on either path
+    G = complete(5)
+    reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
+    monkeypatch.setattr(domsearch, "_CHUNK", chunk)
+    covered = 0
+    for pos, rows in _chunk_rows(G.n, G.edges, stop, first):
+        assert pos == covered and rows.shape[1] == min(chunk, stop - pos, max(first, pos))
+        assert rows.dtype == np.uint8 and np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
+        covered += rows.shape[1]
+    assert covered == stop
+
+
+@pytest.mark.parametrize("n, dtype", [(5, np.uint8), (9, np.uint16), (20, np.uint32), (40, np.uint64)])
+def test_outside_is_read_only_in_the_row_dtype(n, dtype):
+    ones = (1 << 8 * np.dtype(dtype).itemsize) - 1
+    for k in (1, 2):
+        outside = domsearch._outside(n, k, np.dtype(dtype))
+        assert outside.dtype == dtype and not outside.flags.writeable
+        expected = [ones & ~sum(1 << v for v in T) for T in itertools.combinations(range(n), k)]
+        assert outside[:, 0].tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "group_min, budget",
+    [(8, domsearch._SUBSET_BUDGET), (1 << 30, domsearch._SUBSET_BUDGET), (1 << 30, 0)],
+    ids=["grouped", "columns", "greedy"],
+)
+def test_drop_covered_leaves_the_chunk_unchanged(group_min, budget, monkeypatch):
+    # _scan reads survivor rows from the chunk after filtering, so the filter must
+    # not write into it; caps 1-3 walk subsets and cap 4 (2 cap > n) complements
+    G = multipartite(1, 2, 3)
+    monkeypatch.setattr(domsearch, "_GROUP_MIN", group_min)
+    monkeypatch.setattr(domsearch, "_SUBSET_BUDGET", budget)
+    for pos, rows in _chunk_rows(G.n, G.edges, 1 << G.m):
+        before = rows.tobytes()
+        for cap in range(1, G.n - 1):
+            _drop_covered(rows, G.n, cap, G.edges)
+            assert rows.tobytes() == before
+
+
 @given(small_graphs())
 @settings(max_examples=40, deadline=None)
 def test_chunk_gamma_rises_at_most_one_above_its_prefix(G):
