@@ -21,6 +21,11 @@ Masks are built in numpy chunks whose widths double from 1 (1, 1, 2, 4,
 ..., up to _CHUNK), so every chunk start is a multiple of its width and a
 scan that stops early builds few masks. A scan whose floor meets its
 ceiling starts with _CLOSED_FIRST = 64 masks instead (64, 64, 128, ...).
+The first masks, [0, 8) (the chunks narrower than a group) or mask 0 alone
+when floor meets ceiling, get an exact gamma in Python before any row is
+built: on so few masks numpy's fixed cost outweighs the exact work. One
+counts as an exact evaluation iff it beats the incumbent (what the exact
+filter passes), else as vector-filtered; the closed first chunk skips mask 0.
 One row buffer serves every chunk. Flipping edge (u, v) toggles bit v of
 row u and bit u of row v, since in a simple graph no other edge sets
 those bits. Below _CHUNK, column j holds the closed out-rows of mask j:
@@ -56,8 +61,8 @@ incumbent are discarded in bulk:
 Survivors get an exact branch-and-bound gamma with the incumbent as
 cutoff, on the closed out-rows of their own chunk column; the closed
 in-row of v is adj[v] & ~out[v] | v, since each edge is exactly one arc.
-Only _chunk_rows turns a mask into arcs. The first survivor that raises
-the incumbent ends its chunk.
+Only _chunk_rows and the prefix turn masks into arcs. The first survivor
+that raises the incumbent ends its chunk.
 Reversing one arc changes gamma by at most 1: if S dominates D, then S
 plus the reversed arc's new tail dominates the result. A chunk [pos,
 pos + w) with pos > 0 has pos a multiple of its power-of-two width w, so
@@ -235,30 +240,54 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     the scan stopped at the ceiling, else 0.
     """
     n, edges, adj = G.n, G.edges, G.adj
+    stop = 1 << G.m
     best_val = floor - 1
     best_mask = -1
-    explored = exact_evals = ceiling_stop = 0
+    exact_evals = 0
 
-    # a closed sandwich has one possible rise, to the ceiling, and it stops the
-    # scan; with no one-rise break to protect, the first chunk can be wide
-    first = _CLOSED_FIRST if floor == ceiling else 1
-    for pos, rows in _chunk_rows(n, edges, 1 << G.m, first):
-        for offset in map(int, _drop_covered(rows, n, best_val, edges)):
-            out = rows[:, offset].tolist()  # one arc per edge gives the in-rows
-            into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(adj, out))]
-            value = _gamma_engine(out, into, n, best_val)[0]
-            exact_evals += 1
-            if value > best_val:
-                # the chunk's one rise: no later mask in it can beat the new incumbent
-                best_val, best_mask = value, pos + offset
+    def exact(out):  # gamma of closed out-rows if it beats the incumbent, else a value <= it
+        into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(adj, out))]  # one arc per edge
+        return _gamma_engine(out, into, n, best_val)[0]
+
+    # the exact prefix, in Python; mask 0 points each edge away from its smaller end
+    closed = floor == ceiling
+    prefix = min(stop, 1 if closed else 1 << _GROUP_BITS)
+    first = [a >> v << v | 1 << v for v, a in enumerate(adj)]
+    mask = 0
+    while mask < prefix and best_val < ceiling:
+        out = first.copy()
+        for e in _iter_bits(mask):
+            u, v = edges[e]
+            out[u] ^= 1 << v
+            out[v] ^= 1 << u
+        value = exact(out)
+        if value > best_val:  # what the exact filter passes (gamma >= 1 beats an incumbent of 0)
+            best_val, best_mask, exact_evals = value, mask, exact_evals + 1
+            mask = 1 << mask.bit_length()  # the one rise ends its chunk, [0, 1) or [2^k, 2^(k + 1))
+        else:
+            mask += 1
+
+    if best_val < ceiling and prefix < stop:
+        # a closed sandwich has one possible rise, to the ceiling, and it stops the
+        # scan; with no one-rise break to protect, the first chunk can be wide
+        for pos, rows in _chunk_rows(n, edges, stop, _CLOSED_FIRST if closed else 1):
+            if pos + rows.shape[1] <= prefix:
+                continue
+            for offset in map(int, _drop_covered(rows, n, best_val, edges)):
+                if pos + offset < prefix:  # mask 0 of a closed scan, if the greedy cover kept it
+                    continue
+                value = exact(rows[:, offset].tolist())
+                exact_evals += 1
+                if value > best_val:
+                    # the chunk's one rise: no later mask in it can beat the new incumbent
+                    best_val, best_mask = value, pos + offset
+                    break
+            if best_val >= ceiling:
                 break
-        if best_val >= ceiling:
-            # masks after the stopping one do not count as explored
-            ceiling_stop = 1
-            explored += best_mask - pos + 1
-            break
-        explored += rows.shape[1]
 
+    # masks after the stopping one do not count as explored
+    ceiling_stop = int(best_val >= ceiling)
+    explored = best_mask + 1 if ceiling_stop else stop
     tallies = {
         "vector_filtered": explored - exact_evals,
         "exact_evals": exact_evals,

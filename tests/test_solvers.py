@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from brute import brute_dom, brute_gamma, brute_rho
 import oridom
-from oridom import domsearch
+from oridom import corpus, domsearch
 from oridom.domsearch import Solver, _chunk_rows, _drop_covered, dom
 from oridom.graphs import (
     CapExceeded,
@@ -26,7 +26,7 @@ from oridom.graphs import (
     multipartite,
     path,
 )
-from oridom.invariants import independence_number
+from oridom.invariants import independence_number, sandwich
 from oridom.orientations import acyclic_lex_cycle_orientation, k222_orientation
 from oridom.products import cartesian, corona
 from oridom.solvers import _gamma_engine, dom_oracle, gamma, is_dominating, is_packing, rho
@@ -597,6 +597,100 @@ def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
     assert (result.value, result.witness.bits, result.nodes_explored) == expected
     assert result.pruned_by["exact_evals"] == exact_evals
     assert result.pruned_by["vector_filtered"] == result.nodes_explored - exact_evals
+
+
+def _vector_only_scan(G, floor, ceiling):
+    # _scan with no exact prefix: every mask goes through the numpy chunks, and
+    # each filter survivor gets an exact gamma counted in exact_evals
+    n, best_val, best_mask, explored, exact_evals = G.n, floor - 1, -1, 0, 0
+    first = domsearch._CLOSED_FIRST if floor == ceiling else 1
+    for pos, rows in _chunk_rows(n, G.edges, 1 << G.m, first):
+        for offset in map(int, _drop_covered(rows, n, best_val, G.edges)):
+            out = rows[:, offset].tolist()
+            into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(G.adj, out))]
+            value = _gamma_engine(out, into, n, best_val)[0]
+            exact_evals += 1
+            if value > best_val:
+                best_val, best_mask = value, pos + offset
+                break
+        if best_val >= ceiling:
+            explored += best_mask - pos + 1
+            break
+        explored += rows.shape[1]
+    ceiling_stop = int(best_val >= ceiling)
+    tallies = {"vector_filtered": explored - exact_evals, "exact_evals": exact_evals, "ceiling_stop": ceiling_stop}
+    return best_val, best_mask, explored, tallies
+
+
+def test_exact_prefix_matches_the_vector_only_scan(monkeypatch):
+    # every labelled graph with 1-3 edges on up to 6 vertices (all their masks lie
+    # in the prefix), and random graphs whose scans run on into the numpy chunks
+    small = [
+        build_graph(n, list(edges))
+        for n in range(2, 7)
+        for m in (1, 2, 3)
+        for edges in itertools.combinations(itertools.combinations(range(n), 2), m)
+    ]
+    graphs = [*corpus.random_graphs(300, max_n=8, max_edges=14), *small]
+    with_prefix = [dom(G) for G in graphs]
+    monkeypatch.setattr(domsearch, "_scan", _vector_only_scan)
+    for G, result in zip(graphs, with_prefix):
+        reference = dom(G)
+        assert (result.value, result.witness.bits, result.nodes_explored, result.pruned_by) == (
+            reference.value, reference.witness.bits, reference.nodes_explored, reference.pruned_by
+        )
+        assert result.value == dom_oracle(G)
+
+
+@pytest.mark.parametrize(
+    "G, expected, tallies",
+    [(path(3), (2, 0, 1), (0, 1, 1)), (complete(3), (2, 2, 3), (1, 2, 1))],
+    ids=["P_3", "K_3"],
+)
+def test_scan_that_ends_in_the_exact_prefix_builds_no_rows(G, expected, tallies, monkeypatch):
+    # P_3 is a closed sandwich that stops at mask 0; K_3 has 3 edges, so its whole
+    # space is the open prefix [0, 8)
+    def no_rows(*args):
+        raise AssertionError("the scan built numpy rows")
+
+    monkeypatch.setattr(domsearch, "_chunk_rows", no_rows)
+    result = dom(G)
+    assert (result.value, result.witness.bits, result.nodes_explored) == expected
+    tally = result.pruned_by
+    assert (tally["vector_filtered"], tally["exact_evals"], tally["ceiling_stop"]) == tallies
+
+
+@pytest.mark.parametrize(
+    "G, expected, tallies, moved",
+    [
+        (
+            cartesian(build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), complete(2)),
+            (7, 20, 21), (18, 3, 1), 0,
+        ),
+        (
+            build_graph(12, [(0, 5), (1, 4), (1, 6), (2, 5), (3, 11), (4, 9), (5, 8), (5, 11), (7, 8), (7, 10), (8, 9)]),
+            (7, 258, 259), (176, 83, 1), 1,
+        ),
+    ],
+    ids=["C_5+2K_1 prism", "12-vertex tree"],
+)
+def test_exact_prefix_tallies_under_the_greedy_cover(G, expected, tallies, moved, monkeypatch):
+    # C(n, incumbent) exceeds the subset budget, so the greedy cover filters the chunks.
+    # The prism (14 vertices, floor 6 < ceiling 7) rises at mask 0; its other 7 prefix
+    # masks do not beat the incumbent and count as filtered, as the cover drops them.
+    # The tree (floor = ceiling = 7) does not rise at mask 0, which the cover keeps for
+    # an exact gamma: a scan with no prefix counts it as an exact evaluation, the
+    # prefix as filtered, and the closed scan's first chunk does not evaluate it again
+    floor, _, _ = sandwich(G)
+    assert math.comb(G.n, floor - 1) > domsearch._SUBSET_BUDGET
+    result = dom(G)
+    assert (result.value, result.witness.bits, result.nodes_explored) == expected
+    tally = result.pruned_by
+    assert (tally["vector_filtered"], tally["exact_evals"], tally["ceiling_stop"]) == tallies
+    monkeypatch.setattr(domsearch, "_scan", _vector_only_scan)
+    reference = dom(G)
+    assert (reference.value, reference.witness.bits, reference.nodes_explored) == expected
+    assert reference.pruned_by["exact_evals"] == tallies[1] + moved
 
 
 @pytest.mark.parametrize(
