@@ -21,6 +21,7 @@ from .graphs import (
     cycle,
     delete_edge,
     empty,
+    generalized_lexicographic,
     induced_subgraph,
     multipartite,
     path,
@@ -57,7 +58,6 @@ from .orientations import (
 from .products import (
     cartesian,
     corona,
-    generalized_lexicographic,
     join,
     lexicographic,
 )

@@ -73,6 +73,8 @@ def _parse_params(raw: str | None) -> dict[str, str]:
         name, eq, value = piece.partition("=")
         name = name.strip(SPACES)
         if eq and name:
+            if name in params:
+                raise ValueError(f"parameter {name!r} given twice in {raw!r}")
             key = name
             params[key] = value.strip(SPACES)
         elif not eq and key is not None:
@@ -104,8 +106,14 @@ def _cmd_construct(args) -> int:
 def _cmd_orient(args) -> int:
     name = args.scheme.removesuffix("_orientation")
     params = _parse_params(args.params)
-    if name in SELF_CONTAINED_SCHEMES:
-        builder, wanted = SELF_CONTAINED_SCHEMES[name]
+    builder, wanted = SELF_CONTAINED_SCHEMES.get(name, (None, ("h",) if args.base else ("g", "h")))
+    if builder and args.base:
+        raise ValueError(f"scheme {name!r} reads no --base file")
+    for key in params:
+        if key not in wanted:
+            raise ValueError(f"scheme {name!r} does not read parameter {key!r}"
+                             + (" with --base" if args.base else ""))
+    if builder:
         digraph = builder(*(parse_int(_param(params, name, key)) for key in wanted))
     else:
         G = load_graph(args.base) if args.base else parse_graph_expr(_param(params, name, "g"))

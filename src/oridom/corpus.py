@@ -24,30 +24,28 @@ def _rng(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
+def _draw(rng: random.Random, n: int, max_edges: int) -> UndirectedGraph:
+    """A random graph on n vertices with at most max_edges edges."""
+    pairs = list(combinations(range(n), 2))
+    m = rng.randint(0, min(max_edges, len(pairs)))
+    return build_graph(n, rng.sample(pairs, m))
+
+
 def random_graphs(
     count: int, max_n: int, max_edges: int, seed: int = DEFAULT_SEED, label: str = "graphs"
 ) -> list[UndirectedGraph]:
     """Random labeled graphs with n <= max_n and |E| <= max_edges."""
     rng = _rng(seed, label)
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, max_n)
-        pairs = list(combinations(range(n), 2))
-        m = rng.randint(0, min(max_edges, len(pairs)))
-        out.append(build_graph(n, rng.sample(pairs, m)))
-    return out
+    return [_draw(rng, rng.randint(1, max_n), max_edges) for _ in range(count)]
 
 
 def prism_corpus(seed: int = DEFAULT_SEED) -> list[UndirectedGraph]:
     """PRISM_COUNT random graphs whose product with K_2 stays inside the scan cap."""
     rng = _rng(seed, "prism")
     out = []
-    while len(out) < PRISM_COUNT:
+    for _ in range(PRISM_COUNT):
         n = rng.randint(1, PRISM_MAX_N)
-        pairs = list(combinations(range(n), 2))
-        cap = min(len(pairs), max(0, (PRISM_PRODUCT_EDGES - n) // 2))
-        m = rng.randint(0, cap)
-        out.append(build_graph(n, rng.sample(pairs, m)))
+        out.append(_draw(rng, n, max(0, (PRISM_PRODUCT_EDGES - n) // 2)))
     return out
 
 

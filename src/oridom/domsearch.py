@@ -158,10 +158,9 @@ def _outside(n, k, dtype):
 def _drop_covered(rows, n, cap, edges):
     """Offsets of the orientations (columns of rows) not certified to have gamma <= cap.
 
-    Columns j and j ^ i of rows differ only in the edges whose bits are set in i.
+    Needs cap >= 1: _scan evaluates mask 0 exactly, and gamma >= 1 beats an incumbent
+    of 0. Columns j and j ^ i of rows differ only in the edges whose bits are set in i.
     """
-    if cap < 1:
-        return np.arange(rows.shape[1])
     full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
     if math.comb(n, cap) <= _SUBSET_BUDGET:

@@ -4,13 +4,16 @@ Vertices are 0-based integers below ``n``. Adjacency is stored one Python
 int per vertex, bit ``j`` set when ``j`` is a neighbor, so neighborhood
 unions and intersections are single integer operations. Edge lists are
 kept in canonical order: sorted by ``(min endpoint, max endpoint)``. Every
-module that indexes edges relies on that order.
+module that indexes edges relies on that order. The copies of
+``generalized_lexicographic(G, hs)`` sit consecutively in G's vertex order.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 
 class CapExceeded(RuntimeError):
@@ -174,8 +177,25 @@ def empty(n: int) -> UndirectedGraph:
     return build_graph(n, [])
 
 
+def generalized_lexicographic(G: UndirectedGraph, hs: Sequence[UndirectedGraph]) -> UndirectedGraph:
+    """Substitute graph hs[u] for each vertex u of G; join copies along E(G)."""
+    if len(hs) != G.n:
+        raise ValueError(f"need one substituted graph per vertex: {len(hs)} != {G.n}")
+    *starts, total = accumulate((H.n for H in hs), initial=0)
+    check_size(total, sum(H.m for H in hs) + sum(hs[u].n * hs[v].n for u, v in G.edges))
+    edges = []
+    for u in range(G.n):
+        for a, b in hs[u].edges:
+            edges.append((starts[u] + a, starts[u] + b))
+    for u, v in G.edges:
+        for a in range(starts[u], starts[u] + hs[u].n):
+            for b in range(starts[v], starts[v] + hs[v].n):
+                edges.append((a, b))
+    return build_graph(total, edges)
+
+
 def multipartite(*sizes: int) -> UndirectedGraph:
-    """Complete multipartite graph; parts labeled consecutively, sizes ascending."""
+    """Complete multipartite graph, K_k with empty(s) substituted; parts consecutive, ascending."""
     if len(sizes) < 2:
         raise ValueError(f"multipartite needs at least 2 parts, got {len(sizes)}")
     if any(s < 1 for s in sizes):
@@ -184,21 +204,7 @@ def multipartite(*sizes: int) -> UndirectedGraph:
     if list(sizes) != sorted(sizes):
         warnings.warn(f"part sizes {sizes} not ascending; sorting", stacklevel=2)
         sizes = tuple(sorted(sizes))
-    starts = []
-    total = 0
-    for s in sizes:
-        starts.append(total)
-        total += s
-    parts = tuple(
-        tuple(range(start, start + s)) for start, s in zip(starts, sizes)
-    )
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in parts[i]:
-                for v in parts[j]:
-                    edges.append((u, v))
-    return build_graph(total, edges)
+    return generalized_lexicographic(complete(len(sizes)), [empty(s) for s in sizes])
 
 
 def induced_subgraph(G: UndirectedGraph, vertices) -> UndirectedGraph:

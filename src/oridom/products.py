@@ -3,17 +3,13 @@
 Each constructor returns one UndirectedGraph in a fixed vertex layout, which
 the orientation schemes read back with ``divmod``, so it must not change:
 vertex ``(g, h)`` of ``cartesian(G, H)`` and ``lexicographic(G, H)`` is
-``g * n(H) + h``; the copies of ``generalized_lexicographic(G, hs)`` sit
-consecutively in G's vertex order; ``corona(G, H)`` keeps G's ids and
-starts u's copy of H at ``n(G) + u * n(H)``.
+``g * n(H) + h``; ``corona(G, H)`` keeps G's ids and starts u's copy of H
+at ``n(G) + u * n(H)``.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import Sequence
-
-from .graphs import UndirectedGraph, build_graph, check_size, complete
+from .graphs import UndirectedGraph, build_graph, check_size, complete, generalized_lexicographic
 
 
 def cartesian(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
@@ -32,23 +28,6 @@ def cartesian(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
 def lexicographic(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
     """(x,y) ~ (u,v) iff xu in E(G), or x=u and yv in E(H)."""
     return generalized_lexicographic(G, [H] * G.n)
-
-
-def generalized_lexicographic(G: UndirectedGraph, hs: Sequence[UndirectedGraph]) -> UndirectedGraph:
-    """Substitute graph hs[u] for each vertex u of G; join copies along E(G)."""
-    if len(hs) != G.n:
-        raise ValueError(f"need one substituted graph per vertex: {len(hs)} != {G.n}")
-    *starts, total = accumulate((H.n for H in hs), initial=0)
-    check_size(total, sum(H.m for H in hs) + sum(hs[u].n * hs[v].n for u, v in G.edges))
-    edges = []
-    for u in range(G.n):
-        for a, b in hs[u].edges:
-            edges.append((starts[u] + a, starts[u] + b))
-    for u, v in G.edges:
-        for a in range(starts[u], starts[u] + hs[u].n):
-            for b in range(starts[v], starts[v] + hs[v].n):
-                edges.append((a, b))
-    return build_graph(total, edges)
 
 
 def corona(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:

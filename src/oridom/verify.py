@@ -26,6 +26,7 @@ from .graphs import (
     cycle,
     delete_edge,
     empty,
+    generalized_lexicographic,
     induced_subgraph,
     multipartite,
     path,
@@ -46,7 +47,7 @@ from .orientations import (
     path_join_orientation,
     prism_orientation,
 )
-from .products import cartesian, corona, generalized_lexicographic, join, lexicographic
+from .products import cartesian, corona, join, lexicographic
 from .solvers import dom_oracle, gamma, is_dominating, is_packing, rho
 
 PASS = "PASS"

@@ -295,6 +295,26 @@ def test_orient_accepts_full_operation_names(tmp_path):
     assert gamma(parse_digraph(out_file.read_text())).value == 4
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--scheme", "path_join", "--params", "n=4,k=2"], "scheme 'path_join' does not read parameter 'k'"),
+        (["--scheme", "prism", "--params", "n=3,n=4"], "parameter 'n' given twice in 'n=3,n=4'"),
+        (["--scheme", "lex", "--base", "{base}", "--params", "g=path:2,h=empty:2"],
+         "scheme 'lex' does not read parameter 'g' with --base"),
+        (["--scheme", "k222", "--params", "n=3"], "scheme 'k222' does not read parameter 'n'"),
+        (["--scheme", "prism", "--base", "{base}", "--params", "n=3"], "scheme 'prism' reads no --base file"),
+    ],
+    ids=["unread-key", "repeated-key", "g-with-base", "key-for-fixed-scheme", "base-for-fixed-scheme"],
+)
+def test_orient_refuses_parameters_it_would_ignore(argv, message, tmp_path, capsys):
+    base = tmp_path / "c5.ug"
+    base.write_text(format_graph(cycle(5)), encoding="utf-8")
+    assert main(["orient", *(arg.format(base=base) for arg in argv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("raw", ["n", ",n=4", "n=4,=3", "=4"])
 def test_orient_malformed_params_is_usage_error(raw, capsys):
     assert main(["orient", "--scheme", "prism", "--params", raw]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations_with_replacement
 
 from oridom.corpus import (
@@ -70,6 +71,18 @@ def test_corpora_are_deterministic():
     assert [(g.n, g.edges) for g in a] == [(g.n, g.edges) for g in b]
     c = random_graphs(20, max_n=8, max_edges=14, seed=8)
     assert [(g.n, g.edges) for g in a] != [(g.n, g.edges) for g in c]
+
+
+def _digest(graphs):
+    return hashlib.sha256(repr([(G.n, G.edges) for G in graphs]).encode()).hexdigest()
+
+
+def test_corpora_are_pinned():
+    # any change in the order of the random draws changes these corpora
+    assert _digest(prism_corpus(0)) == "4a30e32ab91f37fe594b9ace485dfb7a9d3ea1633c270a65ae2d8c808d7c5ca6"
+    assert _digest(random_graphs(200, max_n=8, max_edges=14, label="oracle")) == (
+        "fd3d3beb80ce56781645e81235f77f075bb7c1c584db97f1fa1f42eb2337929e"
+    )
 
 
 def test_prism_corpus_fits_scan_cap():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import underlying_edges
+from oridom.corpus import multipartite_instances
 from oridom.exprs import parse_graph_expr
 from oridom.graphs import (
     SIZE_CAP,
@@ -84,6 +85,28 @@ def test_multipartite_autosorts_with_warning():
     with pytest.warns(UserWarning, match="not ascending"):
         G = multipartite(2, 1)
     assert {(u, v) for u, v in combinations(range(3), 2) if not G.has_edge(u, v)} == {(1, 2)}
+
+
+def test_multipartite_matches_its_definition():
+    # parts are consecutive runs of ascending sizes; an edge joins two vertices
+    # exactly when they lie in different parts
+    for sizes in multipartite_instances(40):
+        part = [i for i, s in enumerate(sizes) for _ in range(s)]
+        G = multipartite(*sizes)
+        assert G.n == len(part)
+        assert G.edges == tuple((u, v) for u, v in combinations(range(G.n), 2) if part[u] != part[v])
+
+
+def test_multipartite_checks_before_building():
+    # the whole graph is measured before any part is built, and the warning
+    # names the line that asked for the unsorted parts
+    with pytest.raises(ValueError, match=r"^graph too large: 10006 vertices, 10005 edges \(cap 10000 each\)$"):
+        multipartite(1, SIZE_CAP + 5)
+    with pytest.raises(ValueError, match=r"^graph too large: 2000000000000 vertices, "):
+        multipartite(10**12, 10**12)
+    with pytest.warns(UserWarning, match=r"^part sizes \(3, 1\) not ascending; sorting$") as record:
+        multipartite(3, 1)
+    assert record[0].filename == __file__
 
 
 def test_family_descriptors():

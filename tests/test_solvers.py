@@ -601,11 +601,13 @@ def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
 
 def _vector_only_scan(G, floor, ceiling):
     # _scan with no exact prefix: every mask goes through the numpy chunks, and
-    # each filter survivor gets an exact gamma counted in exact_evals
+    # each filter survivor gets an exact gamma counted in exact_evals; the filter
+    # needs an incumbent of at least 1, so below that every column survives
     n, best_val, best_mask, explored, exact_evals = G.n, floor - 1, -1, 0, 0
     first = domsearch._CLOSED_FIRST if floor == ceiling else 1
     for pos, rows in _chunk_rows(n, G.edges, 1 << G.m, first):
-        for offset in map(int, _drop_covered(rows, n, best_val, G.edges)):
+        alive = range(rows.shape[1]) if best_val < 1 else _drop_covered(rows, n, best_val, G.edges)
+        for offset in map(int, alive):
             out = rows[:, offset].tolist()
             into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(G.adj, out))]
             value = _gamma_engine(out, into, n, best_val)[0]
