@@ -49,12 +49,6 @@ class UndirectedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
 
 @dataclass(frozen=True)
 class Digraph:

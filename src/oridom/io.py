@@ -25,10 +25,11 @@ class GraphFormatError(ValueError):
     """Malformed graph text; message carries the 1-based line number."""
 
 
-def _parse_pairs(lines, start_line, count, what):
+def _parse_pairs(lines, count, what):
+    """Read ``count`` integer pairs from the lines after the header (file line 2 on)."""
     pairs = []
     for offset in range(count):
-        lineno = start_line + offset
+        lineno = 2 + offset
         if offset >= len(lines):
             raise GraphFormatError(
                 f"line {lineno}: expected {count} {what} lines, file ends after {offset}"
@@ -41,7 +42,7 @@ def _parse_pairs(lines, start_line, count, what):
                 f"line {lineno}: expected two integers, got {lines[offset]!r}"
             ) from None
     if count < len(lines):
-        extra = start_line + count
+        extra = 2 + count
         raise GraphFormatError(f"line {extra}: trailing data beyond declared {what} count")
     return pairs
 
@@ -71,7 +72,7 @@ def _parse_header(lines, tag):
 def parse_graph(text: str) -> UndirectedGraph:
     lines = _split(text)
     n, m = _parse_header(lines, "ug")
-    pairs = _parse_pairs(lines[1:], 2, m, "edge")
+    pairs = _parse_pairs(lines[1:], m, "edge")
     for offset, (u, v) in enumerate(pairs):
         if u >= v:
             raise GraphFormatError(f"line {2 + offset}: edge must satisfy u < v, got {u} {v}")
@@ -86,7 +87,7 @@ def parse_graph(text: str) -> UndirectedGraph:
 def parse_digraph(text: str) -> Digraph:
     lines = _split(text)
     n, m = _parse_header(lines, "dg")
-    pairs = _parse_pairs(lines[1:], 2, m, "arc")
+    pairs = _parse_pairs(lines[1:], m, "arc")
     for offset, (u, v) in enumerate(pairs):
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(

@@ -3,8 +3,11 @@
 Each constructor returns one UndirectedGraph in a fixed vertex layout, which
 the orientation schemes read back with ``divmod``, so it must not change:
 vertex ``(g, h)`` of ``cartesian(G, H)`` and ``lexicographic(G, H)`` is
-``g * n(H) + h``; ``corona(G, H)`` keeps G's ids and starts u's copy of H
-at ``n(G) + u * n(H)``.
+``g * n(H) + h``. ``lexicographic``, ``join``, ``corona`` and
+``graphs.multipartite`` are vertex substitutions, which place the copies in
+the host's vertex order; ``corona(G, H)`` substitutes K_1 for G's vertices and
+H for one pendant per vertex, so G keeps its ids and u's copy of H starts at
+``n(G) + u * n(H)``.
 """
 
 from __future__ import annotations
@@ -33,14 +36,8 @@ def lexicographic(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
 def corona(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:
     """G plus one copy of H per vertex u, with u joined to its whole copy."""
     check_size(G.n * (1 + H.n), G.m + G.n * (H.m + H.n))
-    edges = list(G.edges)
-    for u in range(G.n):
-        start = G.n + u * H.n
-        for a, b in H.edges:
-            edges.append((start + a, start + b))
-        for a in range(H.n):
-            edges.append((u, start + a))
-    return build_graph(G.n * (1 + H.n), edges)
+    spine = build_graph(2 * G.n, [*G.edges, *((u, G.n + u) for u in range(G.n))])
+    return generalized_lexicographic(spine, [complete(1)] * G.n + [H] * G.n)
 
 
 def join(G: UndirectedGraph, H: UndirectedGraph) -> UndirectedGraph:

@@ -3,10 +3,10 @@
 Each suite builds its instances, solves them exactly, and computes its own
 checks against the formulas, one case per claim. A suite returns rows of
 ``_case`` fields; ``run_verify`` stamps each row with the suite's ``_SUITES``
-key, and ``run_props`` with its own name, to make a VerifyCase. The K_9 case
-(36 edges) is reported SKIPPED with its known value and log bounds when it
-exceeds the orientation-scan edge cap; any other instance over the cap
-raises CapExceeded, which the CLI reports as a usage error. Suites are
+key, and ``run_props`` its own rows with "props", to make a VerifyCase. The
+K_9 case (36 edges) is reported SKIPPED with its known value and log bounds
+when it exceeds the orientation-scan edge cap; any other instance over the
+cap raises CapExceeded, which the CLI reports as a usage error. Suites are
 deterministic for a fixed seed; every scan runs in the calling process, so
 the ``workers`` argument changes nothing.
 """
@@ -357,7 +357,16 @@ def _suite_counterexample(solver: Solver, seed: int) -> list[tuple]:
     return cases
 
 
-def _props_cases(solver: Solver, seed: int) -> list[tuple]:
+def run_props(
+    seed: int = corpus.DEFAULT_SEED,
+    workers: int = 1,
+    max_edges: int = DEFAULT_EDGE_CAP,
+) -> list[VerifyCase]:
+    """Run the randomized invariant suite.
+
+    ``workers`` is accepted for existing callers; the scan runs in one process.
+    """
+    solver = Solver(max_edges)
     cases = []
     graphs = corpus.random_graphs(200, max_n=8, max_edges=14, seed=seed, label="oracle")
 
@@ -396,10 +405,8 @@ def _props_cases(solver: Solver, seed: int) -> list[tuple]:
     part_rng = corpus._rng(seed, "partition")
     part_bad = 0
     for G in sample:
-        left = sorted(part_rng.sample(range(G.n), part_rng.randint(1, G.n - 1))) if G.n > 1 else [0]
+        left = sorted(part_rng.sample(range(G.n), part_rng.randint(1, G.n - 1)))
         right = [v for v in range(G.n) if v not in left]
-        if not right:
-            continue
         total = sum(solver.dom(induced_subgraph(G, block)).value for block in (left, right))
         if solver.dom(G).value > total:
             part_bad += 1
@@ -455,7 +462,7 @@ def _props_cases(solver: Solver, seed: int) -> list[tuple]:
         if any(is_packing(D, S) for S in combinations(range(D.n), rres.value + 1)):
             witness_bad += 1
     cases.append(_case("gamma/packing witnesses certified minimal/maximal", 0, witness_bad))
-    return cases
+    return [VerifyCase("props", *row) for row in cases]
 
 
 _SUITES = {
@@ -487,15 +494,3 @@ def run_verify(
     solver = Solver(max_edges)
     names = _SUITES if suite == "all" else (suite,)
     return [VerifyCase(name, *row) for name in names for row in _SUITES[name](solver, seed)]
-
-
-def run_props(
-    seed: int = corpus.DEFAULT_SEED,
-    workers: int = 1,
-    max_edges: int = DEFAULT_EDGE_CAP,
-) -> list[VerifyCase]:
-    """Run the randomized invariant suite.
-
-    ``workers`` is accepted for existing callers; the scan runs in one process.
-    """
-    return [VerifyCase("props", *row) for row in _props_cases(Solver(max_edges), seed)]

@@ -162,6 +162,12 @@ def test_cache_env_override(tmp_path, monkeypatch):
     assert str(cache.directory) == str(tmp_path / "envcache")
 
 
+def test_default_cache_dir_without_the_env_override(tmp_path, monkeypatch):
+    monkeypatch.delenv("ORIDOM_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cache_mod.default_cache_dir() == tmp_path / ".cache" / "oridom"
+
+
 def test_orient_command(tmp_path, capsys):
     out_file = tmp_path / "d.dg"
     assert main(["orient", "--scheme", "acyclic_lex_cycle", "--params", "k=2,s=2", "--out", str(out_file)]) == 0
@@ -304,13 +310,44 @@ def test_orient_accepts_full_operation_names(tmp_path):
          "scheme 'lex' does not read parameter 'g' with --base"),
         (["--scheme", "k222", "--params", "n=3"], "scheme 'k222' does not read parameter 'n'"),
         (["--scheme", "prism", "--base", "{base}", "--params", "n=3"], "scheme 'prism' reads no --base file"),
+        (["--scheme", "prism"], "scheme 'prism' needs parameter 'n'"),
+        (["--scheme", "lex", "--params", "h=empty:2"], "scheme 'lex' needs parameter 'g'"),
+        (["--scheme", "prism", "--params", "n=2"], "prism needs a cycle of length >= 3, got 2"),
+        (["--scheme", "prism", "--params", "n=" + "9" * 5000], "integer too long: 5000 digits"),
     ],
-    ids=["unread-key", "repeated-key", "g-with-base", "key-for-fixed-scheme", "base-for-fixed-scheme"],
+    ids=["unread-key", "repeated-key", "g-with-base", "key-for-fixed-scheme", "base-for-fixed-scheme",
+         "missing-n", "missing-g", "short-prism", "long-param"],
 )
 def test_orient_refuses_parameters_it_would_ignore(argv, message, tmp_path, capsys):
     base = tmp_path / "c5.ug"
     base.write_text(format_graph(cycle(5)), encoding="utf-8")
     assert main(["orient", *(arg.format(base=base) for arg in argv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "path:0"], "path needs n >= 1, got 0"),
+        (["construct", "complete:0"], "complete graph needs n >= 1, got 0"),
+        (["construct", "empty:0"], "empty graph needs n >= 1, got 0"),
+        (["construct", "multi:0,1"], "part sizes must be positive: (0, 1)"),
+        (["construct", "path:" + "9" * 5000], "integer too long at position 5"),
+        (["gamma", "--digraph", "{dir}/empty.dg"], "digraph must have at least one vertex, got n=0"),
+        (["dom", "--graph", "{dir}/twice.ug", "--no-cache"], "duplicate edge: (0, 1)"),
+        (["gamma", "--digraph", "{dir}/twice.dg"], "duplicate arc: (0, 1)"),
+        (["rho", "--digraph", "{dir}/loop.dg"], "self-loop not allowed: (1, 1)"),
+    ],
+    ids=["path-0", "complete-0", "empty-0", "multi-0", "long-expr", "empty-digraph", "repeated-edge",
+         "repeated-arc", "self-loop"],
+)
+def test_refused_input_is_one_exact_error_line(argv, message, tmp_path, capsys):
+    (tmp_path / "empty.dg").write_text("dg 0 0\n", encoding="utf-8")
+    (tmp_path / "twice.ug").write_text("ug 2 2\n0 1\n0 1\n", encoding="utf-8")
+    (tmp_path / "twice.dg").write_text("dg 2 2\n0 1\n0 1\n", encoding="utf-8")
+    (tmp_path / "loop.dg").write_text("dg 2 1\n1 1\n", encoding="utf-8")
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
 

@@ -1,6 +1,8 @@
 import hashlib
 from itertools import combinations_with_replacement
 
+import pytest
+
 from oridom.corpus import (
     _tree_canon,
     all_trees,
@@ -14,6 +16,8 @@ from oridom.invariants import is_bipartite
 def test_tree_counts_up_to_isomorphism():
     # classic unlabeled tree counts
     assert [len(all_trees(n)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        all_trees(0)
 
 
 def test_trees_are_trees():
@@ -29,7 +33,7 @@ def test_trees_are_trees():
             while frontier:
                 v = frontier.pop()
                 for u in range(n):
-                    if T.has_edge(v, u) and u not in seen:
+                    if T.adj[v] >> u & 1 and u not in seen:
                         seen.add(u)
                         frontier.append(u)
             assert len(seen) == n

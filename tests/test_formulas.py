@@ -79,6 +79,13 @@ def test_multipartite_bounds_examples():
     assert bip.exact and bip.lower == 5
 
 
+def test_multipartite_bounds_refuse_bad_parts():
+    with pytest.raises(ValueError, match="need at least 2 parts, got 1"):
+        multipartite_dom_bounds(3)
+    with pytest.raises(ValueError, match=r"part sizes must be positive: \(0, 2\)"):
+        multipartite_dom_bounds(0, 2)
+
+
 def test_multipartite_bounds_contain_search_value():
     for sizes in ((1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 1, 1, 2)):
         report = multipartite_dom_bounds(*sizes)

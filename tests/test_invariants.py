@@ -12,6 +12,7 @@ from brute import (
     first_maximum_leaf,
     reference_max_independent_set_masks,
 )
+from oridom import invariants
 from oridom.corpus import all_trees
 from oridom.graphs import (
     CapExceeded,
@@ -196,11 +197,11 @@ def test_is_acyclic_witnesses(D):
 @settings(max_examples=40, deadline=None)
 def test_witnesses_are_valid(G):
     independent = max_independent_set(G)
-    assert not any(G.has_edge(u, v) for u in independent for v in independent if u != v)
+    assert not any(G.adj[u] >> v & 1 for u in independent for v in independent if u != v)
     matching = max_matching(G)
     used = [v for e in matching for v in e]
     assert len(used) == len(set(used))
-    assert all(G.has_edge(u, v) for u, v in matching)
+    assert all(G.adj[u] >> v & 1 for u, v in matching)
 
 
 def _conflict_rows(D):
@@ -282,7 +283,7 @@ def test_mis_of_a_comb():
     G = corona(path(200), complete(1))
     witness = max_independent_set(G)
     assert len(witness) == 200
-    assert not any(G.has_edge(u, v) for u in witness for v in witness)
+    assert not any(G.adj[u] >> v & 1 for u in witness for v in witness)
 
 
 def _petersen():
@@ -323,7 +324,7 @@ def test_matching_on_blossom_graphs(name):
 def _assert_matching(G, matching):
     used = [v for e in matching for v in e]
     assert len(used) == len(set(used))
-    assert all(u < v and G.has_edge(u, v) for u, v in matching)
+    assert all(u < v and G.adj[u] >> v & 1 for u, v in matching)
 
 
 @given(small_graphs(max_n=9))
@@ -407,7 +408,7 @@ def test_independence_number_of_odd_cycles_with_a_chord():
 def cycles_joined_by_chords(draw):
     # at most 14 vertices, so the brute-force subset enumeration stays quick
     G = draw(cycles_with_pendant_paths())
-    pairs = [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if not G.has_edge(u, v)]
+    pairs = [(u, v) for u in range(G.n) for v in range(u + 1, G.n) if not G.adj[u] >> v & 1]
     if not pairs:  # a lone triangle has room for no chord
         return G
     chords = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=3))
@@ -418,6 +419,53 @@ def cycles_joined_by_chords(draw):
 @settings(max_examples=80, deadline=None)
 def test_independence_number_with_chords_matches_brute(G):
     assert independence_number(G) == brute_independence(G)
+
+
+def _spy_on_matching(monkeypatch):
+    """Record the order of every graph independence_number's Koenig branch matches."""
+    orders = []
+
+    def spy(G):
+        orders.append(G.n)
+        return matching_number(G)
+
+    monkeypatch.setattr(invariants, "matching_number", spy)
+    return orders
+
+
+def test_independence_number_of_a_bipartite_remainder(monkeypatch):
+    # the triangle is taken by the reductions; K_{3,3} stays whole and is
+    # solved as n - nu by Koenig's theorem
+    G = build_graph(9, [*multipartite(3, 3).edges, (6, 7), (6, 8), (7, 8)])
+    orders = _spy_on_matching(monkeypatch)
+    assert independence_number(G) == brute_independence(G) == 4
+    assert orders == [6]
+
+
+def _bipartite_core_with_odd_cycles(rng):
+    """A bipartite core of minimum degree 3, then disjoint odd cycles; at most 14 vertices."""
+    a, b = rng.randint(3, 4), rng.randint(3, 4)
+    edges = {(u, a + v) for u in range(a) for v in range(b) if rng.random() < 0.4}
+    for side, other in ((range(a), range(a, a + b)), (range(a, a + b), range(a))):
+        for u in side:
+            while sum(u in e for e in edges) < 3:
+                v = rng.choice(other)
+                edges.add((min(u, v), max(u, v)))
+    n = a + b
+    for length in rng.choice([c for c in ((3,), (5,), (7,), (3, 3), (3, 5)) if sum(c) <= 14 - n]):
+        edges |= {(n + i, n + (i + 1) % length) for i in range(length)}
+        n += length
+    return build_graph(n, sorted(edges)), a + b
+
+
+def test_independence_number_of_bipartite_cores_matches_brute(monkeypatch):
+    rng = random.Random(26)
+    orders = _spy_on_matching(monkeypatch)
+    for _ in range(40):
+        G, core = _bipartite_core_with_odd_cycles(rng)
+        assert G.n <= 14
+        assert independence_number(G) == brute_independence(G)
+        assert orders.pop() == core  # the cycles fold away; the core reaches Koenig whole
 
 
 def test_mis_kernel_has_no_recursion_limit():
@@ -451,7 +499,7 @@ def _tutte_berge_bound(G, barrier):
             v = stack.pop()
             size += 1
             for u in range(G.n):
-                if G.has_edge(v, u) and u not in seen:
+                if G.adj[v] >> u & 1 and u not in seen:
                     seen.add(u)
                     stack.append(u)
         odd += size % 2
@@ -472,7 +520,7 @@ def test_sparse_random_64_vertex_graph():
         v for v in range(G.n)
         if matching_number(induced_subgraph(G, [u for u in range(G.n) if u != v])) == len(matching)
     }
-    barrier = {u for v in missable for u in range(G.n) if G.has_edge(v, u)} - missable
+    barrier = {u for v in missable for u in range(G.n) if G.adj[v] >> u & 1} - missable
     assert len(matching) == _tutte_berge_bound(G, barrier)
     adj = list(G.adj)
     witness = max_independent_set_masks(adj, G.n)

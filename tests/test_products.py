@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oridom import products
 from oridom.graphs import build_graph, complete, cycle, empty, multipartite, path
 from oridom.products import (
     cartesian,
@@ -57,7 +58,7 @@ def test_generalized_lexicographic_examples():
 def test_corona_examples():
     four_path = corona(path(2), complete(1))
     assert four_path.n == 4 and four_path.m == 3
-    assert sorted(four_path.degree(v) for v in range(4)) == [1, 1, 2, 2]
+    assert sorted(four_path.adj[v].bit_count() for v in range(4)) == [1, 1, 2, 2]
     # the copy for u starts at n(G) + u*n(H): leaf 2 hangs on 0 and leaf 3 on 1
     assert four_path.edges == ((0, 1), (0, 2), (1, 3))
 
@@ -102,7 +103,7 @@ def test_generalized_lexicographic_refuses_results_over_size_cap():
 def test_join_examples():
     c4 = join(empty(2), empty(2))
     assert c4.n == 4 and c4.m == 4
-    assert sorted(c4.degree(v) for v in range(4)) == [2, 2, 2, 2]
+    assert sorted(c4.adj[v].bit_count() for v in range(4)) == [2, 2, 2, 2]
 
     k3 = join(complete(2), complete(1))
     assert k3.edges == complete(3).edges
@@ -165,9 +166,45 @@ def test_generalized_matches_plain_lexicographic(pair):
     by_definition = {
         (x * H.n + y, u * H.n + v)
         for x in range(G.n) for y in range(H.n) for u in range(G.n) for v in range(H.n)
-        if (x, y) < (u, v) and (G.has_edge(x, u) or x == u and H.has_edge(y, v))
+        if (x, y) < (u, v) and (G.adj[x] >> u & 1 or x == u and H.adj[y] >> v & 1)
     }
     assert set(lex.edges) == by_definition
+
+
+@given(factor_pairs())
+@settings(max_examples=40, deadline=None)
+def test_corona_matches_its_definition(pair):
+    # corona is built by vertex substitution, so check it against the definition
+    G, H = pair
+    start = [G.n + u * H.n for u in range(G.n)]
+    by_definition = {
+        *G.edges,
+        *((start[u] + a, start[u] + b) for u in range(G.n) for a, b in H.edges),
+        *((u, start[u] + a) for u in range(G.n) for a in range(H.n)),
+    }
+    product = corona(G, H)
+    assert product.n == G.n * (1 + H.n)
+    assert set(product.edges) == by_definition
+
+
+@pytest.mark.parametrize(
+    "G, H, message",
+    [
+        (path(100), empty(100), "10100 vertices, 10099 edges"),
+        (empty(10000), complete(1), "20000 vertices, 10000 edges"),
+        (complete(1), empty(10000), "10001 vertices, 10000 edges"),
+    ],
+    ids=["both-factors", "wide-host", "wide-copy"],
+)
+def test_corona_checks_before_building(G, H, message, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built a graph before the size check")
+
+    monkeypatch.setattr(products, "build_graph", no_build)
+    monkeypatch.setattr(products, "generalized_lexicographic", no_build)
+    with pytest.raises(ValueError) as exc:
+        corona(G, H)
+    assert str(exc.value) == f"graph too large: {message} (cap 10000 each)"
 
 
 def test_corona_block_is_hub_join():
@@ -175,7 +212,7 @@ def test_corona_block_is_hub_join():
     product = corona(G, H)
     for u in range(G.n):
         block = range(G.n + u * H.n, G.n + (u + 1) * H.n)
-        assert all(product.has_edge(u, b) for b in block)
+        assert all(product.adj[u] >> b & 1 for b in block)
         inner = [
             (a, b)
             for a, b in product.edges

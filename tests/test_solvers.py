@@ -203,6 +203,19 @@ def test_dom_isolated_vertices_are_added():
     assert gamma(result.witness.to_digraph()).value == result.value
 
 
+def test_dom_refuses_over_64_live_vertices_before_scanning(monkeypatch):
+    # 33 disjoint edges fit an edge cap of 33, but their 66 endpoints do not fit a row
+    def no_scan(*args):
+        raise AssertionError("scanned past the vertex limit")
+
+    monkeypatch.setattr(domsearch, "sandwich", no_scan)
+    monkeypatch.setattr(domsearch, "_scan", no_scan)
+    matching = build_graph(66, [(2 * i, 2 * i + 1) for i in range(33)])
+    with pytest.raises(CapExceeded) as exc:
+        dom(matching, max_edges=33)
+    assert str(exc.value) == "orientation scan supports at most 64 non-isolated vertices, got 66"
+
+
 def test_dom_deterministic():
     G = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
     first = dom(G)
