@@ -17,10 +17,13 @@ n - matching_number. On a bipartite graph this equals alpha (Konig), so
 there one matching gives both ends, and the scan ends at the first mask
 attaining the floor.
 
-Masks are built in numpy chunks whose widths double from 1 (1, 1, 2, 4,
-..., up to _CHUNK), so every chunk start is a multiple of its width and a
-scan that stops early builds few masks. A scan whose floor meets its
-ceiling starts with _CLOSED_FIRST = 64 masks instead (64, 64, 128, ...).
+Masks are built in numpy chunks. Below _CHUNK, a chunk starting at pos
+ends at 2 pos (1, 1, 2, 4, ...), or at 8 pos (_LAST_RISE_GROWTH) once the
+incumbent is ceiling - 1 and the exact filter runs at it, capped at
+_CHUNK; from _CHUNK on chunks are _CHUNK wide. Every chunk start below
+_CHUNK is a power of two, and a scan that stops early builds few masks.
+A scan whose floor meets its ceiling starts with _CLOSED_FIRST = 64 masks
+instead (64, 64, 128, ... or, under the exact filter, 64, 448, 3584, ...).
 The first masks, [0, 8) (the chunks narrower than a group) or mask 0 alone
 when floor meets ceiling, get an exact gamma in Python before any row is
 built: on so few masks numpy's fixed cost outweighs the exact work. One
@@ -64,14 +67,18 @@ in-row of v is adj[v] & ~out[v] | v, since each edge is exactly one arc.
 Only _chunk_rows and the prefix turn masks into arcs. The first survivor
 that raises the incumbent ends its chunk.
 Reversing one arc changes gamma by at most 1: if S dominates D, then S
-plus the reversed arc's new tail dominates the result. A chunk [pos,
-pos + w) with pos > 0 has pos a multiple of its power-of-two width w, so
-clearing the lowest set bit of pos maps each of its masks to a mask
-below pos that differs in one edge. Every gamma in the chunk is thus at
-most the incumbent + 1, the incumbent rises at most once per chunk, and
-the masks after the rise cannot beat it (the width-1 chunk at 0 has one
-mask anyway). When floor = ceiling, the one possible rise reaches the
-ceiling and stops the scan, so the wide first chunk needs no such bound.
+plus the reversed arc's new tail dominates the result. A 2-fold or
+_CHUNK-wide chunk [pos, pos + w) with pos > 0 has pos a multiple of its
+width w, so clearing the lowest set bit of pos maps each of its masks to
+a mask below pos that differs in one edge. Every gamma in the chunk is
+thus at most the incumbent + 1, the incumbent rises at most once per
+chunk, and the masks after the rise cannot beat it (the width-1 chunk at
+0 has one mask anyway). At incumbent ceiling - 1, which a closed scan
+(floor = ceiling) starts at, any rise reaches the ceiling and stops the
+scan, so its chunks need no such bound: the wide first chunk and the
+8-fold ones. The exact filter's first survivor is then the stopping
+mask, and no mask after it is counted, so the longer chunks change no
+counter.
 
 Isolated vertices are forced into every dominating set of every
 orientation; they are stripped before the scan, whose floor and ceiling
@@ -100,15 +107,19 @@ _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
 _GROUP_BITS = 3  # the exact filter certifies aligned groups of 1 << _GROUP_BITS columns
 _GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
 _CLOSED_FIRST = 64  # first chunk width of a scan whose floor meets its ceiling
+_LAST_RISE_GROWTH = 8  # chunk growth below _CHUNK once the next rise must stop the scan
 
 
-def _chunk_rows(n, edges, stop, first=1):
+def _chunk_rows(n, edges, stop, first=1, growth=lambda: 2):
     """Yield (pos, rows) over [0, stop): rows[v][j] is v's closed out-row under mask pos + j.
 
-    The first chunk has width `first` (a power of two), and each later chunk
-    starting at pos has width pos, up to _CHUNK. rows is a view of one
-    buffer, overwritten by the next step: below _CHUNK its column j holds
-    mask j and it doubles, from _CHUNK on it is rebased to each chunk start.
+    The first chunk is [0, first) (first a power of two). Below _CHUNK, a
+    later chunk starting at pos ends at growth() * pos, capped at _CHUNK;
+    growth() is read as each chunk starts and returns 2 or
+    _LAST_RISE_GROWTH, so every chunk start below _CHUNK is a power of two.
+    From _CHUNK on, chunks are _CHUNK wide. rows is a view of one buffer,
+    overwritten by the next step: below _CHUNK its column j holds mask j
+    and it doubles, from _CHUNK on it is rebased to each chunk start.
     """
     word = np.min_scalar_type((1 << n) - 1).type  # narrowest unsigned type holding n bits
     rows = np.empty((n, min(_CHUNK, 1 << (stop - 1).bit_length())), dtype=word)
@@ -120,22 +131,23 @@ def _chunk_rows(n, edges, stop, first=1):
     rows[:, 0] = np.array(out, dtype=word)
     base, pos, filled = 0, 0, 1
     while pos < stop:
-        width = min(_CHUNK, stop - pos, max(first, pos))
         if pos < _CHUNK:  # column j holds mask j
-            while filled < pos + width:
+            end = min(stop, _CHUNK, growth() * pos if pos else first)
+            while filled < end:
                 np.bitwise_xor(
                     rows[:, :filled], delta[filled.bit_length() - 1], out=rows[:, filled : 2 * filled]
                 )
                 filled *= 2
-            yield pos, rows[:, pos : pos + width]
+            yield pos, rows[:, pos:end]
         else:
+            end = min(stop, pos + _CHUNK)
             for e in _iter_bits(base ^ pos):
                 u, v = edges[e]
                 rows[u] ^= word(1 << v)
                 rows[v] ^= word(1 << u)
             base = pos
-            yield pos, rows[:, :width]
-        pos += width
+            yield pos, rows[:, : end - pos]
+        pos = end
 
 
 @functools.cache
@@ -159,16 +171,19 @@ def _drop_covered(rows, n, cap, edges):
     """Offsets of the orientations (columns of rows) not certified to have gamma <= cap.
 
     Needs cap >= 1: _scan evaluates mask 0 exactly, and gamma >= 1 beats an incumbent
-    of 0. Columns j and j ^ i of rows differ only in the edges whose bits are set in i.
+    of 0. Columns j and j ^ i of rows differ only in the edges whose bits are set in i,
+    for each i below the lowest set bit of the width: _scan's chunks start at a
+    multiple of it (a chunk [pos, 8 pos) is 7 pos wide), and the group rows keep this.
     """
     full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
     if math.comb(n, cap) <= _SUBSET_BUDGET:
         # exact filter (upward closure): survivors are precisely gamma > cap
-        if rows.shape[1] >= _GROUP_MIN:
+        group = 1 << _GROUP_BITS
+        if rows.shape[1] >= _GROUP_MIN and rows.shape[1] % group == 0:
             # a group's first column, with the arcs of the group's edges cleared, is
             # a subgraph of each of its columns, and adding arcs never raises gamma
-            group, shared = 1 << _GROUP_BITS, [(1 << n) - 1] * n
+            shared = [(1 << n) - 1] * n
             for u, v in edges[:_GROUP_BITS]:
                 shared[u] &= ~(1 << v)
                 shared[v] &= ~(1 << u)
@@ -266,10 +281,14 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
         else:
             mask += 1
 
+    def growth():  # at ceiling - 1 any rise stops the scan, at its first exact survivor
+        last = best_val == ceiling - 1 and math.comb(n, best_val) <= _SUBSET_BUDGET
+        return _LAST_RISE_GROWTH if last else 2
+
     if best_val < ceiling and prefix < stop:
         # a closed sandwich has one possible rise, to the ceiling, and it stops the
         # scan; with no one-rise break to protect, the first chunk can be wide
-        for pos, rows in _chunk_rows(n, edges, stop, _CLOSED_FIRST if closed else 1):
+        for pos, rows in _chunk_rows(n, edges, stop, _CLOSED_FIRST if closed else 1, growth):
             if pos + rows.shape[1] <= prefix:
                 continue
             for offset in map(int, _drop_covered(rows, n, best_val, edges)):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import brute_dom, brute_gamma, brute_rho
@@ -424,18 +424,74 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
 @pytest.mark.parametrize("first", [1, domsearch._CLOSED_FIRST])
 @pytest.mark.parametrize("stop", [100, 1 << 10])
 def test_chunk_rows_grow_then_rebase(chunk, first, stop, monkeypatch):
-    # below _CHUNK the buffer doubles and each chunk is the half it last wrote;
+    # below _CHUNK the buffer doubles and a chunk at pos ends at growth * pos;
     # _CHUNK 8 and 16 hand over to the rebased buffer, inside the first wide
     # chunk at _CLOSED_FIRST; stop 100 ends in a part chunk on either path
     G = complete(5)
     reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
     monkeypatch.setattr(domsearch, "_CHUNK", chunk)
-    covered = 0
-    for pos, rows in _chunk_rows(G.n, G.edges, stop, first):
-        assert pos == covered and rows.shape[1] == min(chunk, stop - pos, max(first, pos))
-        assert rows.dtype == np.uint8 and np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
-        covered += rows.shape[1]
-    assert covered == stop
+    for growth in (2, domsearch._LAST_RISE_GROWTH):
+        covered = 0
+        for pos, rows in _chunk_rows(G.n, G.edges, stop, first, lambda: growth):
+            end = pos + chunk if pos >= chunk else min(chunk, growth * pos if pos else first)
+            assert pos == covered and rows.shape[1] == min(stop, end) - pos
+            assert rows.dtype == np.uint8 and np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
+            covered += rows.shape[1]
+        assert covered == stop
+
+
+def test_chunk_rows_last_rise_growth_bounds():
+    # at the default _CHUNK, a closed scan at growth 8 runs these chunks; the
+    # rows are checked on a few columns of each, at 2^18 masks of K_7
+    G, stop, chunk = complete(7), 1 << 18, domsearch._CHUNK
+    growth = domsearch._LAST_RISE_GROWTH
+    bounds, rng = [], random.Random(0)
+    for pos, rows in _chunk_rows(G.n, G.edges, stop, domsearch._CLOSED_FIRST, lambda: growth):
+        bounds.append(pos)
+        width = rows.shape[1]
+        offsets = [0, width // 2, width - 1, *rng.sample(range(width), min(width, 8))]
+        reference = _reference_rows([Orientation(G, pos + j).to_digraph() for j in offsets], G.n)
+        assert np.array_equal(rows[:, offsets], reference)
+    assert bounds + [stop] == [0, 64, 512, 4096, 32768, chunk, 2 * chunk, 3 * chunk, 4 * chunk]
+
+
+def test_chunk_rows_switch_growth_mid_scan():
+    # growth() is read as each chunk starts: 2 up to the chunk at 16, 8 after it,
+    # as an open scan switches after its rise to ceiling - 1
+    G, stop = complete(5), 1 << 10
+    reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
+    factor, bounds = [2], []
+    for pos, rows in _chunk_rows(G.n, G.edges, stop, 1, lambda: factor[0]):
+        bounds.append(pos)
+        assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
+        if pos == 16:
+            factor[0] = domsearch._LAST_RISE_GROWTH
+    assert bounds == [0, 1, 2, 4, 8, 16, 32, 256]  # powers of two
+
+
+@given(st.one_of(small_graphs(), chunked_graphs()))
+@example(build_graph(7, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (1, 5), (1, 6), (2, 5), (3, 6)]))
+@settings(max_examples=40, deadline=None)
+def test_dom_does_not_depend_on_last_rise_growth(G):
+    # growth 8 runs closed scans from their first chunk on and open scans after
+    # their rise to ceiling - 1; budget 0 keeps the greedy cover (and growth 2),
+    # and _GROUP_MIN 8 groups the chunks 7 * 2^k wide that growth 8 makes. The
+    # example rises to ceiling - 1 in [8, 16), so its next chunk [16, 128) has
+    # 112 columns, whose 14 groups are not a whole number of groups of 8
+    for budget, group_min in [
+        (domsearch._SUBSET_BUDGET, domsearch._GROUP_MIN),
+        (0, domsearch._GROUP_MIN),
+        (domsearch._SUBSET_BUDGET, 8),
+    ]:
+        results = []
+        for growth in (2, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(domsearch, "_SUBSET_BUDGET", budget)
+                mp.setattr(domsearch, "_GROUP_MIN", group_min)
+                mp.setattr(domsearch, "_LAST_RISE_GROWTH", growth)
+                result = dom(G)
+            results.append((result.value, result.witness.bits, result.nodes_explored, result.pruned_by))
+        assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("n, dtype", [(5, np.uint8), (9, np.uint16), (20, np.uint32), (40, np.uint64)])
@@ -610,6 +666,33 @@ def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
     assert (result.value, result.witness.bits, result.nodes_explored) == expected
     assert result.pruned_by["exact_evals"] == exact_evals
     assert result.pruned_by["vector_filtered"] == result.nodes_explored - exact_evals
+
+
+@pytest.mark.parametrize(
+    "G, filter_calls",
+    [
+        (complete(7), 44),
+        (cartesian(complete(3), complete(3)), 13),
+        (multipartite(1, 18), 6),
+        (multipartite(2, 2, 4), 12),
+    ],
+    ids=["K_7", "K_3xK_3", "K_1,18", "K_2,2,4"],
+)
+def test_dom_filter_calls_are_pinned(G, filter_calls, monkeypatch):
+    # the chunk schedule, counted as top-level _drop_covered calls (the group step
+    # recurses with fewer edges): K_1,18 and K_2,2,4 are closed scans at growth 8
+    # from the start, K_3xK_3 switches after its rise to 4 at mask 1,322, and K_7
+    # reaches ceiling - 1 = 3 only after _CHUNK
+    real, calls = domsearch._drop_covered, []
+
+    def counted(rows, n, cap, edges):
+        if len(edges) == G.m:
+            calls.append(rows.shape[1])
+        return real(rows, n, cap, edges)
+
+    monkeypatch.setattr(domsearch, "_drop_covered", counted)
+    dom(G)
+    assert len(calls) == filter_calls
 
 
 def _vector_only_scan(G, floor, ceiling):
