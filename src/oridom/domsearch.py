@@ -17,29 +17,31 @@ n - matching_number. On a bipartite graph this equals alpha (Konig), so
 there one matching gives both ends, and the scan ends at the first mask
 attaining the floor.
 
-Masks are built in numpy chunks. Below _CHUNK, a chunk starting at pos
-ends at 2 pos (1, 1, 2, 4, ...), or at 8 pos (_LAST_RISE_GROWTH) once the
-incumbent is ceiling - 1 and the exact filter runs at it, capped at
-_CHUNK; from _CHUNK on chunks are _CHUNK wide. Every chunk start below
-_CHUNK is a power of two, and a scan that stops early builds few masks.
-A scan whose floor meets its ceiling starts with _CLOSED_FIRST = 64 masks
-instead (64, 64, 128, ... or, under the exact filter, 64, 448, 3584, ...).
-The first masks, [0, 8) (the chunks narrower than a group) or mask 0 alone
-when floor meets ceiling, get an exact gamma in Python before any row is
-built: on so few masks numpy's fixed cost outweighs the exact work. One
-counts as an exact evaluation iff it beats the incumbent (what the exact
-filter passes), else as vector-filtered; the closed first chunk skips mask 0.
-One row buffer serves every chunk. Flipping edge (u, v) toggles bit v of
-row u and bit u of row v, since in a simple graph no other edge sets
-those bits. Below _CHUNK, column j holds the closed out-rows of mask j:
-the buffer doubles by one XOR of columns [0, f) with the bits of edge
-log2(f) into columns [f, 2f), so chunk [pos, 2 pos) is the half the last
-doubling wrote. From _CHUNK on, column j holds mask base ^ j, and the
-buffer is rebased to each chunk start by flipping the edges set in
-base ^ start on their two rows.
-Its dtype is the narrowest unsigned type holding n bits (uint8 up to
-n = 8, then uint16, uint32, uint64). Masks that provably cannot beat the
-incumbent are discarded in bulk:
+Masks are built in numpy chunks. Below _CHUNK, a chunk starting at pos > 0
+ends at 2 pos, or at 8 pos (_LAST_RISE_GROWTH) once the incumbent is
+ceiling - 1 and the exact filter runs at it, capped at _CHUNK; from _CHUNK
+on chunks are _CHUNK wide. Every chunk start below _CHUNK is a power of
+two, and a scan that stops early builds few masks. An open scan's first
+chunk is [0, 8), its exact prefix (8, 8, 16, 32, ...); a scan whose floor
+meets its ceiling starts with _CLOSED_FIRST = 64 masks instead (64, 64,
+128, ... or, under the exact filter, 64, 448, 3584, ...). The first masks,
+[0, 8) or mask 0 alone when floor meets ceiling, get an exact gamma in
+Python, and the chunks skip them: on so few masks numpy's fixed cost
+outweighs the exact work. One counts as an exact evaluation iff it beats
+the incumbent (what the exact filter passes), else as vector-filtered.
+
+Flipping edge (u, v) toggles bit v of row u and bit u of row v, since in
+a simple graph no other edge sets those bits. Under the exact filter, a
+chunk of _GROUP_MIN or more columns is built at its group depth d: cut
+into aligned groups of 8 masks, which differ only in their lowest 3
+edges, and again into groups of groups while each level stays at least
+_GROUP_MIN wide and a whole number of groups. Its rows hold one column
+per group of 8^d masks, the group's first mask with the arcs of
+edges[:3d] cleared: a subdigraph of every mask of the group. Each depth
+has its own row buffer (see _chunk_rows). The dtype is the narrowest
+unsigned type holding n bits (uint8 up to n = 8, then uint16, uint32,
+uint64). Masks that provably cannot beat the incumbent are discarded in
+bulk:
 
   * dominating sets are upward closed, so gamma <= incumbent iff some
     vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
@@ -49,31 +51,33 @@ incumbent are discarded in bulk:
     before the next block (exact test: survivors have gamma > incumbent).
     When 2 incumbent > n, the blocks walk the smaller complements T
     instead: V - T dominates iff every t in T has an in-neighbour outside
-    T. Each edge the call is given is exactly one arc, so t's open in-row
-    is its neighbours along those edges minus its out-row, and a subset
-    costs n - incumbent row ANDs. A chunk of _GROUP_MIN or more columns is
-    first cut into aligned groups of 8, which differ only in its lowest 3
-    edges; the group's first column with those arcs cleared is a
-    subdigraph of all 8, and adding arcs never raises gamma, so a subset
-    dominating it drops the group. The group rows recurse with the other
-    edges, and only the columns of uncertified groups, gathered as whole
-    blocks of 8, are tested one by one;
+    T. Each edge the rows hold is exactly one arc, so t's open in-row is
+    its neighbours along those edges minus its out-row, and a subset costs
+    n - incumbent row ANDs. Adding arcs never raises gamma, so a subset
+    dominating a group's column drops the whole group. The filter runs top
+    down: it tests the coarsest level, then expands each surviving group
+    8-fold by OR-ing in a per-level table of the arcs of its next 3 edges
+    under their 8 orientations (the reverse table for in-rows), tests
+    those, and so on down to single masks. Certified groups are never
+    built below their level;
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
 
 Survivors get an exact branch-and-bound gamma with the incumbent as
-cutoff, on the closed out-rows of their own chunk column; the closed
-in-row of v is adj[v] & ~out[v] | v, since each edge is exactly one arc.
-Only _chunk_rows and the prefix turn masks into arcs. The first survivor
-that raises the incumbent ends its chunk.
+cutoff, on closed out-rows built from their mask in Python, as the first
+masks' are; the closed in-row of v is adj[v] & ~out[v] | v, since each
+edge is exactly one arc. The first survivor that raises the incumbent
+ends its chunk, so under the exact filter a chunk has at most one
+survivor that gets an exact gamma.
 Reversing one arc changes gamma by at most 1: if S dominates D, then S
 plus the reversed arc's new tail dominates the result. A 2-fold or
 _CHUNK-wide chunk [pos, pos + w) with pos > 0 has pos a multiple of its
 width w, so clearing the lowest set bit of pos maps each of its masks to
 a mask below pos that differs in one edge. Every gamma in the chunk is
 thus at most the incumbent + 1, the incumbent rises at most once per
-chunk, and the masks after the rise cannot beat it (the width-1 chunk at
-0 has one mask anyway). At incumbent ceiling - 1, which a closed scan
+chunk, and the masks after the rise cannot beat it. The prefix keeps
+this bound by walking [0, 8) as the chunks [0, 1), [1, 2), [2, 4) and
+[4, 8), the first of which has one mask anyway. At incumbent ceiling - 1, which a closed scan
 (floor = ceiling) starts at, any rise reaches the ceiling and stops the
 scan, so its chunks need no such bound: the wide first chunk and the
 8-fold ones. The exact filter's first survivor is then the stopping
@@ -110,43 +114,108 @@ _CLOSED_FIRST = 64  # first chunk width of a scan whose floor meets its ceiling
 _LAST_RISE_GROWTH = 8  # chunk growth below _CHUNK once the next rise must stop the scan
 
 
-def _chunk_rows(n, edges, stop, first=1, growth=lambda: 2):
+def _group_depth(width):
+    """Levels of groups a chunk is cut into, each _GROUP_MIN or more columns and whole groups."""
+    depth = 0
+    while width >= _GROUP_MIN and width % (1 << _GROUP_BITS) == 0:
+        width >>= _GROUP_BITS
+        depth += 1
+    return depth
+
+
+def _chunk_rows(n, edges, stop, first=1, growth=lambda: 2, grouped=None):
     """Yield (pos, rows) over [0, stop): rows[v][j] is v's closed out-row under mask pos + j.
 
     The first chunk is [0, first) (first a power of two). Below _CHUNK, a
     later chunk starting at pos ends at growth() * pos, capped at _CHUNK;
     growth() is read as each chunk starts and returns 2 or
     _LAST_RISE_GROWTH, so every chunk start below _CHUNK is a power of two.
-    From _CHUNK on, chunks are _CHUNK wide. rows is a view of one buffer,
-    overwritten by the next step: below _CHUNK its column j holds mask j
-    and it doubles, from _CHUNK on it is rebased to each chunk start.
+    From _CHUNK on, chunks are _CHUNK wide.
+
+    With grouped, yield (pos, rows, tables) instead: grouped() is read as
+    each chunk of _GROUP_MIN or more columns starts, and a chunk it answers
+    true for is built at its group depth d = _group_depth(width). With
+    b = _GROUP_BITS, column g of rows then holds mask pos + (g << b d) with
+    only the arcs of edges[b d:], a subdigraph of all 2^(b d) masks of its
+    group, and tables[k] (k < d) is the (n, 1, 2^b) array of the arcs of
+    edges[b k : b (k + 1)] under each of their 2^b orientations. Other
+    chunks are at depth 0, with no tables.
+
+    rows is a view of its depth's buffer, overwritten by a later step. A
+    buffer is allocated when a chunk first needs it, _GROUP_MIN columns or
+    more (at most the widest chunk's width >> b d), and grown by copying.
+    Below _CHUNK its column j holds mask j << b d; it starts from mask 0, or
+    from every 2^b-th column the depth below has filled, and doubles by one
+    XOR of columns [0, f) with the bits of edge b d + log2(f) into columns
+    [f, 2f). From _CHUNK on it is full, column j holds mask base ^ j << b d,
+    and it is rebased to each chunk start by flipping the edges set in
+    base ^ start on their two rows. The tables are built once, at the first
+    grouped chunk.
     """
     word = np.min_scalar_type((1 << n) - 1).type  # narrowest unsigned type holding n bits
-    rows = np.empty((n, min(_CHUNK, 1 << (stop - 1).bit_length())), dtype=word)
+    width = min(_CHUNK, 1 << (stop - 1).bit_length())  # the widest chunk
     delta = np.zeros((len(edges), n, 1), dtype=word)  # the bits flipping edge e changes
     out = [1 << v for v in range(n)]
     for e, (u, v) in enumerate(edges):
         out[u] |= 1 << v
         delta[e, u], delta[e, v] = 1 << v, 1 << u
-    rows[:, 0] = np.array(out, dtype=word)
-    base, pos, filled = 0, 0, 1
+    out = np.array(out, dtype=word)[:, None]
+    buffers, tables = {}, None  # depth -> (rows, filled columns, base)
+    pos = 0
     while pos < stop:
-        if pos < _CHUNK:  # column j holds mask j
+        if pos < _CHUNK:
             end = min(stop, _CHUNK, growth() * pos if pos else first)
-            while filled < end:
-                np.bitwise_xor(
-                    rows[:, :filled], delta[filled.bit_length() - 1], out=rows[:, filled : 2 * filled]
-                )
-                filled *= 2
-            yield pos, rows[:, pos:end]
         else:
             end = min(stop, pos + _CHUNK)
+        depth = 0
+        if grouped is not None and end - pos >= _GROUP_MIN and grouped():
+            depth = _group_depth(end - pos)
+            if tables is None:  # every level the widest chunk is built at, once
+                levels = _group_depth(width)
+                arcs = delta[: _GROUP_BITS * levels].reshape(levels, _GROUP_BITS, n, 1)
+                tables = np.bitwise_or.reduce(arcs & out, axis=1)  # each level's arcs under mask 0
+                for i in range(_GROUP_BITS):
+                    tables = np.concatenate((tables, tables ^ arcs[:, i]), axis=2)
+                tables = tables[:, :, None]
+        shift = _GROUP_BITS * depth
+        # the buffer doubles, so it fills a power of two of columns
+        need = 1 << (((end if pos < _CHUNK else width) >> shift) - 1).bit_length()
+        rows, filled, base = buffers.get(depth, (None, 0, 0))
+        if rows is None or rows.shape[1] < need:
+            grown = np.empty((n, min(width >> shift, max(need, _GROUP_MIN))), dtype=word)
+            if rows is not None:
+                grown[:, :filled] = rows[:, :filled]
+            else:
+                finer, finer_filled, finer_base = buffers.get(depth - 1, (None, 0, 0))
+                # at most need, as the depth below ends at pos
+                filled = 0 if finer_base else finer_filled >> _GROUP_BITS
+                if filled:  # every group's first column one level down, without its level's arcs
+                    step = 1 << _GROUP_BITS
+                    grown[:, :filled] = finer[:, : filled * step : step] ^ tables[depth - 1, :, :, 0]
+                else:  # mask 0, without the arcs of edges[:shift]
+                    grown[:, :1] = out
+                    if depth:
+                        grown[:, :1] ^= np.bitwise_or.reduce(tables[:depth, :, :, 0], axis=0)
+                    filled = 1
+            rows = grown
+        while filled < need:  # only at base 0: a rebased buffer is full
+            flip = delta[shift + filled.bit_length() - 1]
+            np.bitwise_xor(rows[:, :filled], flip, out=rows[:, filled : 2 * filled])
+            filled *= 2
+        if pos < _CHUNK:
+            chunk = rows[:, pos >> shift : end >> shift]
+        else:
             for e in _iter_bits(base ^ pos):
                 u, v = edges[e]
                 rows[u] ^= word(1 << v)
                 rows[v] ^= word(1 << u)
             base = pos
-            yield pos, rows[:, : end - pos]
+            chunk = rows[:, : (end - pos) >> shift]
+        buffers[depth] = rows, filled, base
+        if grouped is None:
+            yield pos, chunk
+        else:
+            yield pos, chunk, tables[:depth] if depth else ()
         pos = end
 
 
@@ -167,66 +236,71 @@ def _outside(n, k, dtype):
     return outside
 
 
-def _drop_covered(rows, n, cap, edges):
-    """Offsets of the orientations (columns of rows) not certified to have gamma <= cap.
+def _drop_covered(rows, n, cap, edges, tables=()):
+    """Offsets of the masks of a chunk not certified to have gamma <= cap.
 
-    Needs cap >= 1: _scan evaluates mask 0 exactly, and gamma >= 1 beats an incumbent
-    of 0. Columns j and j ^ i of rows differ only in the edges whose bits are set in i,
-    for each i below the lowest set bit of the width: _scan's chunks start at a
-    multiple of it (a chunk [pos, 8 pos) is 7 pos wide), and the group rows keep this.
+    rows and tables are as _chunk_rows yields them: a chunk at group depth
+    d = len(tables), whose columns hold only the arcs of edges[b d:]
+    (b = _GROUP_BITS); the offsets are those of the chunk's own masks. The
+    exact filter tests the columns, expands each survivor 2^b-fold by OR-ing
+    in tables[d - 1], tests those, and so on through tables[0]; the greedy
+    cover takes depth-0 chunks only. Needs cap >= 1: _scan evaluates mask 0
+    exactly, and gamma >= 1 beats an incumbent of 0. Does not write into
+    rows.
     """
     full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
     if math.comb(n, cap) <= _SUBSET_BUDGET:
-        # exact filter (upward closure): survivors are precisely gamma > cap
-        group = 1 << _GROUP_BITS
-        if rows.shape[1] >= _GROUP_MIN and rows.shape[1] % group == 0:
-            # a group's first column, with the arcs of the group's edges cleared, is
-            # a subgraph of each of its columns, and adding arcs never raises gamma
-            shared = [(1 << n) - 1] * n
-            for u, v in edges[:_GROUP_BITS]:
-                shared[u] &= ~(1 << v)
-                shared[v] &= ~(1 << u)
-            blocks = rows.reshape(n, -1, group)  # blocks[:, g] is group g's columns
-            shared = blocks[:, :, 0] & np.array(shared, dtype=rows.dtype)[:, None]
-            groups = _drop_covered(shared, n, cap, edges[_GROUP_BITS:])
-            alive = (groups[:, None] * group + np.arange(group)).ravel()
-            rows = blocks[:, groups].reshape(n, -1)
-        else:
-            alive = np.arange(rows.shape[1])
-        # a cap-subset S dominates iff each t outside S has an in-neighbour in S;
-        # for 2 cap > n, walk the smaller complements T = V - S instead
+        # exact filter (upward closure): survivors are precisely gamma > cap. A cap-subset
+        # S dominates iff each t outside S has an in-neighbour in S; for 2 cap > n, walk
+        # the smaller complements T = V - S instead
         dual = 2 * cap > n
         size = n - cap if dual else cap
+        subsets = _subsets(n, size)
         if dual:
-            # each edge given is exactly one arc (group rows pass on only the edges whose
-            # arcs they keep), so t's open in-row is its neighbours minus its out-row
+            # each edge the rows hold is exactly one arc, so t's open in-row is its
+            # neighbours along those edges minus its out-row
             adj = [0] * n
-            for u, v in edges:
+            for u, v in edges[_GROUP_BITS * len(tables) :]:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             rows = np.array(adj, dtype=rows.dtype)[:, None] & ~rows
             outside = _outside(n, size, rows.dtype)
-        subsets = _subsets(n, size)
-        start = 0
-        while start < len(subsets) and alive.size:
-            block = subsets[start : start + max(1, _BLOCK // alive.size)]
+
+        def survive(rows, alive):  # (alive, rows) of the columns no cap-subset dominates
+            start = 0
+            while start < len(subsets) and alive.size:
+                block = subsets[start : start + max(1, _BLOCK // alive.size)]
+                if dual:
+                    # the minimum over T is nonzero iff every t in T has an in-neighbour outside T
+                    free = outside[start : start + len(block)]
+                    reach = rows[block[:, 0]] & free
+                    for i in range(1, size):
+                        np.minimum(reach, rows[block[:, i]] & free, out=reach)
+                    keep = reach.max(axis=0) == 0
+                else:
+                    cover = rows[block[:, 0]]
+                    for i in range(1, size):
+                        cover |= rows[block[:, i]]
+                    keep = cover.max(axis=0) != full  # no cover in the block is full
+                start += len(block)
+                if not keep.all():
+                    alive = alive[keep]
+                    rows = rows.compress(keep, axis=1)  # faster than rows[:, keep]
+            return alive, rows
+
+        # a column is a subdigraph of every mask of its group, and adding arcs never
+        # raises gamma, so a subset dominating it drops the group; only the surviving
+        # groups are expanded, one level at a time
+        alive, rows = survive(rows, np.arange(rows.shape[1]))
+        for table in reversed(tables):
+            if not alive.size:
+                break
             if dual:
-                # the minimum over T is nonzero iff every t in T has an in-neighbour outside T
-                free = outside[start : start + len(block)]
-                reach = rows[block[:, 0]] & free
-                for i in range(1, size):
-                    np.minimum(reach, rows[block[:, i]] & free, out=reach)
-                keep = reach.max(axis=0) == 0
-            else:
-                cover = rows[block[:, 0]]
-                for i in range(1, size):
-                    cover |= rows[block[:, i]]
-                keep = cover.max(axis=0) != full  # no cover in the block is full
-            start += len(block)
-            if not keep.all():
-                alive = alive[keep]
-                rows = rows.compress(keep, axis=1)  # faster than rows[:, keep]
+                table = table[..., ::-1]  # in-arcs: the out-arcs of the complement orientation
+            rows = (rows[:, :, None] | table).reshape(n, -1)
+            alive = (alive[:, None] << _GROUP_BITS | np.arange(table.shape[-1])).ravel()
+            alive, rows = survive(rows, alive)
     else:
         # greedy cover for `cap` rounds; covered implies gamma <= cap
         alive = np.arange(rows.shape[1])
@@ -259,42 +333,51 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
     best_mask = -1
     exact_evals = 0
 
-    def exact(out):  # gamma of closed out-rows if it beats the incumbent, else a value <= it
+    # mask 0 points each edge away from its smaller end
+    first = [a >> v << v | 1 << v for v, a in enumerate(adj)]
+
+    def exact(mask):  # gamma under mask if it beats the incumbent, else a value <= it
+        out = first.copy()  # closed out-rows
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = edges[low.bit_length() - 1]
+            out[u] ^= 1 << v
+            out[v] ^= 1 << u
         into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(adj, out))]  # one arc per edge
         return _gamma_engine(out, into, n, best_val)[0]
 
-    # the exact prefix, in Python; mask 0 points each edge away from its smaller end
+    # the exact prefix, in Python
     closed = floor == ceiling
     prefix = min(stop, 1 if closed else 1 << _GROUP_BITS)
-    first = [a >> v << v | 1 << v for v, a in enumerate(adj)]
     mask = 0
     while mask < prefix and best_val < ceiling:
-        out = first.copy()
-        for e in _iter_bits(mask):
-            u, v = edges[e]
-            out[u] ^= 1 << v
-            out[v] ^= 1 << u
-        value = exact(out)
+        value = exact(mask)
         if value > best_val:  # what the exact filter passes (gamma >= 1 beats an incumbent of 0)
             best_val, best_mask, exact_evals = value, mask, exact_evals + 1
             mask = 1 << mask.bit_length()  # the one rise ends its chunk, [0, 1) or [2^k, 2^(k + 1))
         else:
             mask += 1
 
+    def exact_filter():
+        return math.comb(n, best_val) <= _SUBSET_BUDGET
+
     def growth():  # at ceiling - 1 any rise stops the scan, at its first exact survivor
-        last = best_val == ceiling - 1 and math.comb(n, best_val) <= _SUBSET_BUDGET
-        return _LAST_RISE_GROWTH if last else 2
+        return _LAST_RISE_GROWTH if best_val == ceiling - 1 and exact_filter() else 2
 
     if best_val < ceiling and prefix < stop:
         # a closed sandwich has one possible rise, to the ceiling, and it stops the
-        # scan; with no one-rise break to protect, the first chunk can be wide
-        for pos, rows in _chunk_rows(n, edges, stop, _CLOSED_FIRST if closed else 1, growth):
-            if pos + rows.shape[1] <= prefix:
+        # scan; with no one-rise break to protect, the first chunk can be wide. An
+        # open scan's first chunk is its exact prefix. Under the exact filter,
+        # chunks are built at their group depth
+        chunks = _chunk_rows(n, edges, stop, _CLOSED_FIRST if closed else prefix, growth, exact_filter)
+        for pos, rows, tables in chunks:
+            if pos == 0 and not closed:
                 continue
-            for offset in map(int, _drop_covered(rows, n, best_val, edges)):
+            for offset in map(int, _drop_covered(rows, n, best_val, edges, tables)):
                 if pos + offset < prefix:  # mask 0 of a closed scan, if the greedy cover kept it
                     continue
-                value = exact(rows[:, offset].tolist())
+                value = exact(pos + offset)
                 exact_evals += 1
                 if value > best_val:
                     # the chunk's one rise: no later mask in it can beat the new incumbent

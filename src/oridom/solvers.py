@@ -66,13 +66,13 @@ def _gamma_engine(nout: list[int], nin: list[int], n: int, cutoff: int | None):
     Returns (value, witness_mask, nodes, prune_tally).
     """
     full = (1 << n) - 1
+    counts = [row.bit_count() for row in nin]  # potential dominators of each vertex
     forced = 0
     covered = 0
     for v in range(n):
         if nin[v] == 1 << v:
             forced |= 1 << v
-    for v in _iter_bits(forced):
-        covered |= nout[v]
+            covered |= nout[v]
     best_size = n
     best_mask = full
     if covered == full:
@@ -92,27 +92,32 @@ def _gamma_engine(nout: list[int], nin: list[int], n: int, cutoff: int | None):
                 pruned["cutoff"] += 1
                 break
             continue
-        uncovered = full & ~covered
-        # lower bound: uncovered vertices with pairwise disjoint dominator sets
+        # one pass over the uncovered vertices, lowest first: the lower bound counts
+        # those with pairwise disjoint dominator sets, and the branching target is
+        # the first with fewest potential dominators
+        rest = full & ~covered
         used = 0
         bound = size
-        for v in _iter_bits(uncovered):
-            if nin[v] & used == 0:
-                used |= nin[v]
+        target_count = n + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            row = nin[v]
+            if row & used == 0:
+                used |= row
                 bound += 1
+            if counts[v] < target_count:
+                target = v
+                target_count = counts[v]
         if bound >= best_size:
             pruned["bound"] += 1
             continue
-        # branch on the uncovered vertex with fewest potential dominators,
-        # pushed in reverse so the lowest dominator is searched first
-        target = -1
-        target_count = n + 1
-        for v in _iter_bits(uncovered):
-            c = nin[v].bit_count()
-            if c < target_count:
-                target = v
-                target_count = c
-        for w in reversed([*_iter_bits(nin[target])]):
+        # pushed highest first, so the lowest dominator is searched first
+        rest = nin[target]
+        while rest:
+            w = rest.bit_length() - 1
+            rest ^= 1 << w
             stack.append((size + 1, chosen | 1 << w, covered | nout[w]))
     return best_size, best_mask, nodes, pruned
 

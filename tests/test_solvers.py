@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -510,15 +511,16 @@ def test_outside_is_read_only_in_the_row_dtype(n, dtype):
     ids=["grouped", "columns", "greedy"],
 )
 def test_drop_covered_leaves_the_chunk_unchanged(group_min, budget, monkeypatch):
-    # _scan reads survivor rows from the chunk after filtering, so the filter must
-    # not write into it; caps 1-3 walk subsets and cap 4 (2 cap > n) complements
+    # a chunk is a view of a row buffer whose columns later doublings read, so the
+    # filter must not write into it; caps 1-3 walk subsets and cap 4 (2 cap > n)
+    # complements. Grouped chunks are built at their depth, under the exact filter
     G = multipartite(1, 2, 3)
     monkeypatch.setattr(domsearch, "_GROUP_MIN", group_min)
     monkeypatch.setattr(domsearch, "_SUBSET_BUDGET", budget)
-    for pos, rows in _chunk_rows(G.n, G.edges, 1 << G.m):
+    for pos, rows, tables in _chunk_rows(G.n, G.edges, 1 << G.m, grouped=lambda: budget > 0):
         before = rows.tobytes()
         for cap in range(1, G.n - 1):
-            _drop_covered(rows, G.n, cap, G.edges)
+            _drop_covered(rows, G.n, cap, G.edges, tables)
             assert rows.tobytes() == before
 
 
@@ -573,22 +575,92 @@ def test_drop_covered_and_dom_do_not_depend_on_block_size(G):
         )
 
 
+def _cleared(G, edges, dtype=np.uint8):
+    # (n, 1) masks that clear the arcs of `edges` (a prefix of G's) from closed out-rows
+    cleared = [(1 << G.n) - 1] * G.n
+    for u, v in edges:
+        cleared[u] &= ~(1 << v)
+        cleared[v] &= ~(1 << u)
+    return np.array(cleared, dtype=dtype)[:, None]
+
+
+def _reference_tables(G, depth, bits):
+    # tables[k][w, 0, i]: w's open out-row when edges[bits k : bits (k + 1)] alone are
+    # oriented by i, read off the digraph
+    tables = []
+    for k in range(depth):
+        part = build_graph(G.n, G.edges[bits * k : bits * (k + 1)])
+        digraphs = [Orientation(part, i).to_digraph() for i in range(1 << bits)]
+        tables.append(np.array([[[D.out_rows[w] for D in digraphs]] for w in range(G.n)], dtype=np.uint8))
+    return tables
+
+
 @given(chunked_graphs())
 @settings(max_examples=15, deadline=None)
 def test_drop_covered_groups_keep_exactly_the_gamma_above_cap(G):
-    # _GROUP_MIN 8 groups every chunk of 8 or more columns, so up to 2^11
-    # columns run several levels of groups of groups before the column filter
+    # the whole space as one chunk at each depth: every (1 << bits d)-th mask with the
+    # arcs of the lowest bits * d edges cleared, up to groups of a single column
     n, width = G.n, 1 << G.m
     digraphs = [Orientation(G, bits).to_digraph() for bits in range(width)]
     rows = _reference_rows(digraphs, n, np.uint8)  # chunked_graphs have n <= 8
     gammas = np.array([gamma(D).value for D in digraphs])
     for bits in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(domsearch, "_GROUP_MIN", 8)
             mp.setattr(domsearch, "_GROUP_BITS", bits)
-            for cap in range(1, n - 1):
-                alive = _drop_covered(rows, n, cap, G.edges)
-                assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+            for depth in range(G.m // bits + 1):
+                shift = bits * depth
+                grouped = rows[:, :: 1 << shift] & _cleared(G, G.edges[:shift])
+                tables = _reference_tables(G, depth, bits)
+                for cap in range(1, n - 1):
+                    alive = _drop_covered(grouped, n, cap, G.edges, tables)
+                    assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+
+
+@st.composite
+def grouping_patterns(draw):
+    # which chunks grouped() answers true for, read in turn and then repeated
+    return draw(st.lists(st.booleans(), min_size=1, max_size=6))
+
+
+@given(chunked_graphs(), grouping_patterns())
+@settings(max_examples=15, deadline=None)
+def test_chunk_rows_build_grouped_chunks_at_their_depth(G, pattern):
+    # _GROUP_MIN 8 groups every chunk of 8 or more columns; a grouped chunk at depth d
+    # is every (1 << bits d)-th column of the reference with the arcs of edges[:bits d]
+    # cleared, and its tables hold the arcs of each level's edges. grouped() switches
+    # chunks between depths, so buffers of several depths grow and rebase in turn
+    n, stop = G.n, 1 << G.m
+    reference = _reference_rows([Orientation(G, b).to_digraph() for b in range(stop)], n, np.uint8)
+    for chunk in (8, 16, domsearch._CHUNK):
+        for growth in (2, domsearch._LAST_RISE_GROWTH):
+            for bits in (1, 3):
+                answers, asked = itertools.cycle(pattern), []
+
+                def grouped():
+                    asked.append(next(answers))
+                    return asked[-1]
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(domsearch, "_GROUP_MIN", 8)
+                    mp.setattr(domsearch, "_CHUNK", chunk)
+                    mp.setattr(domsearch, "_GROUP_BITS", bits)
+                    covered = read = 0
+                    for pos, rows, tables in _chunk_rows(n, G.edges, stop, 1, lambda: growth, grouped):
+                        depth, width = len(tables), rows.shape[1] << bits * len(tables)
+                        # grouped() is read only for chunks of _GROUP_MIN or more columns
+                        was_read, read = len(asked) > read, len(asked)
+                        assert was_read == (width >= 8)
+                        expected, w = 0, width
+                        while was_read and asked[-1] and w >= 8 and w % (1 << bits) == 0:
+                            expected, w = expected + 1, w >> bits
+                        assert pos == covered and depth == expected and rows.dtype == np.uint8
+                        full = reference[:, pos : pos + width]
+                        cleared = _cleared(G, G.edges[: bits * depth])
+                        assert np.array_equal(rows, full[:, :: 1 << bits * depth] & cleared)
+                        for table, ref in zip(tables, _reference_tables(G, depth, bits), strict=True):
+                            assert table.shape == (n, 1, 1 << bits) and np.array_equal(table, ref)
+                        covered += width
+                    assert covered == stop
 
 
 @given(chunked_graphs())
@@ -627,26 +699,48 @@ def test_dom_does_not_depend_on_closed_scan_first_width(G):
 @given(chunked_graphs())
 @settings(max_examples=15, deadline=None)
 def test_drop_covered_complement_form_on_group_rows(G):
-    # caps with 2 cap > n walk the complements and read in-rows off the edges
-    # they are given; group rows clear the arcs of the lowest `bits` edges and
-    # are the orientations of the other edges, in mask order
+    # caps with 2 cap > n walk the complements and read in-rows off the edges the
+    # rows hold; group rows clear the arcs of the lowest `bits` edges and are the
+    # orientations of the other edges, in mask order. Alone they keep exactly the
+    # groups with gamma > cap, and with their table every mask with gamma > cap
     n = G.n
-    reference = _reference_rows([Orientation(G, b).to_digraph() for b in range(1 << G.m)], n, np.uint8)
+    full = [Orientation(G, b).to_digraph() for b in range(1 << G.m)]
+    reference = _reference_rows(full, n, np.uint8)
+    gammas = np.array([gamma(D).value for D in full])
     for bits in (0, 1, 3):
         rest = build_graph(n, G.edges[bits:])
-        cleared = [(1 << n) - 1] * n
-        for u, v in G.edges[:bits]:
-            cleared[u] &= ~(1 << v)
-            cleared[v] &= ~(1 << u)
-        rows = reference[:, :: 1 << bits] & np.array(cleared, dtype=np.uint8)[:, None]
+        rows = reference[:, :: 1 << bits] & _cleared(G, G.edges[:bits])
         digraphs = [Orientation(rest, b).to_digraph() for b in range(1 << rest.m)]
         assert np.array_equal(rows, _reference_rows(digraphs, n, np.uint8))
-        gammas = np.array([gamma(D).value for D in digraphs])
+        rest_gammas = np.array([gamma(D).value for D in digraphs])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(domsearch, "_GROUP_MIN", 8)
+            mp.setattr(domsearch, "_GROUP_BITS", bits)
+            tables = _reference_tables(G, 1, bits) if bits else []
             for cap in range(n // 2 + 1, n - 1):
                 alive = _drop_covered(rows, n, cap, rest.edges)
+                assert alive.tolist() == np.flatnonzero(rest_gammas > cap).tolist()
+                alive = _drop_covered(rows, n, cap, G.edges, tables)
                 assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+
+
+@given(st.one_of(chunked_graphs(), small_graphs()), st.sampled_from([2, domsearch._LAST_RISE_GROWTH]))
+@settings(max_examples=20, deadline=None)
+def test_drop_covered_at_depth_keeps_the_chunk_masks_with_gamma_above_cap(G, growth):
+    # every chunk _chunk_rows yields, at the depth it is built at, against the gamma of
+    # each of its masks; _GROUP_MIN 8 groups chunks of 8 columns and more, and growth
+    # 8 makes chunks 7 * 2^k wide. Caps on both sides of n / 2 walk subsets and
+    # complements
+    n = G.n
+    gammas = np.array([gamma(Orientation(G, b).to_digraph()).value for b in range(1 << G.m)])
+    for bits in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_GROUP_MIN", 8)
+            mp.setattr(domsearch, "_GROUP_BITS", bits)
+            for pos, rows, tables in _chunk_rows(n, G.edges, 1 << G.m, 1, lambda: growth, lambda: True):
+                chunk = gammas[pos : pos + (rows.shape[1] << bits * len(tables))]
+                for cap in range(1, n - 1):
+                    alive = _drop_covered(rows, n, cap, G.edges, tables)
+                    assert alive.tolist() == np.flatnonzero(chunk > cap).tolist()
 
 
 @pytest.mark.parametrize(
@@ -669,6 +763,37 @@ def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
 
 
 @pytest.mark.parametrize(
+    "G, expected, tallies",
+    [
+        (complete(8), (3, 600626, 268435456), (268435453, 3, 0)),
+        (multipartite(1, 1, 1, 1, 2, 2), (3, 338609, 67108864), (67108862, 2, 0)),
+        (multipartite(3, 3, 3), (3, 0, 134217728), (134217727, 1, 0)),
+    ],
+    ids=["K_8", "K_1,1,1,1,2,2", "K_3,3,3"],
+)
+def test_dom_past_the_edge_cap_is_pinned(G, expected, tallies):
+    # full scans of 2^26-2^28 masks, almost all certified at their coarsest group level
+    result = dom(G, max_edges=28)
+    assert (result.value, result.witness.bits, result.nodes_explored) == expected
+    tally = result.pruned_by
+    assert (tally["vector_filtered"], tally["exact_evals"], tally["ceiling_stop"]) == tallies
+
+
+def test_grouped_scan_builds_no_full_width_rows():
+    # K_1,18's chunks from 512 on are grouped, so no buffer reaches the 65,536 columns
+    # of 19 uint32 rows (5 MB) that a full-width row buffer takes
+    G = multipartite(1, 18)
+    dom(G)  # the subset tables are cached
+    tracemalloc.start()
+    try:
+        dom(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize(
     "G, filter_calls",
     [
         (complete(7), 44),
@@ -679,16 +804,14 @@ def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
     ids=["K_7", "K_3xK_3", "K_1,18", "K_2,2,4"],
 )
 def test_dom_filter_calls_are_pinned(G, filter_calls, monkeypatch):
-    # the chunk schedule, counted as top-level _drop_covered calls (the group step
-    # recurses with fewer edges): K_1,18 and K_2,2,4 are closed scans at growth 8
-    # from the start, K_3xK_3 switches after its rise to 4 at mask 1,322, and K_7
-    # reaches ceiling - 1 = 3 only after _CHUNK
+    # the chunk schedule, counted as _drop_covered calls (one per chunk): K_1,18 and
+    # K_2,2,4 are closed scans at growth 8 from the start, K_3xK_3 switches after its
+    # rise to 4 at mask 1,322, and K_7 reaches ceiling - 1 = 3 only after _CHUNK
     real, calls = domsearch._drop_covered, []
 
-    def counted(rows, n, cap, edges):
-        if len(edges) == G.m:
-            calls.append(rows.shape[1])
-        return real(rows, n, cap, edges)
+    def counted(rows, n, cap, edges, tables):
+        calls.append(rows.shape[1] << domsearch._GROUP_BITS * len(tables))
+        return real(rows, n, cap, edges, tables)
 
     monkeypatch.setattr(domsearch, "_drop_covered", counted)
     dom(G)
@@ -795,7 +918,7 @@ def test_exact_prefix_tallies_under_the_greedy_cover(G, expected, tallies, moved
     "n, dtype",
     [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32), (32, np.uint32), (33, np.uint64)],
 )
-def test_row_dtype_boundaries(n, dtype, monkeypatch):
+def test_row_dtype_boundaries(n, dtype):
     # a star centred on the top vertex with at most 22 leaves, so the top bit of
     # the row width is in use; gamma = n - max(1, out-leaves) reaches n - 1, so at
     # every width the exact filter at cap n - 2 keeps some columns and drops others
@@ -815,8 +938,6 @@ def test_row_dtype_boundaries(n, dtype, monkeypatch):
     digraphs = [Orientation(G, bits).to_digraph() for bits in masks]
     rows = _reference_rows(digraphs, n, dtype)
     gammas = np.array([gamma(D).value for D in digraphs])
-    # these columns are not aligned orientations, so they must not be grouped
-    monkeypatch.setattr(domsearch, "_GROUP_MIN", 1 << 30)
     for cap in range(1, n - 1):
         alive = _drop_covered(rows, n, cap, G.edges)
         if math.comb(n, cap) <= domsearch._SUBSET_BUDGET:  # exact filter
@@ -852,6 +973,24 @@ def test_scan_in_rows_are_neighbours_minus_out_rows(G):
             D = Orientation(G, pos + j).to_digraph()
             into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(G.adj, out))]
             assert into == [D.in_rows[v] | 1 << v for v in range(G.n)]
+
+
+@pytest.mark.parametrize(
+    "D, value, witness, nodes, bound_prunes",
+    [
+        (build_digraph(20, [(i, i + 1) for i in range(19)]), 10, tuple(range(0, 20, 2)), 109, 44),
+        (directed_cycle(7), 4, (0, 1, 3, 5), 15, 4),
+        (acyclic_lex_cycle_orientation(3, 2), 6, (0, 1, 2, 4, 6, 8), 37, 23),
+        (acyclic_lex_cycle_orientation(3, 3), 7, (0, 1, 2, 3, 6, 9, 12), 73, 52),
+    ],
+    ids=["path_20", "C_7", "lex_3_2", "lex_3_3"],
+)
+def test_gamma_search_is_pinned(D, value, witness, nodes, bound_prunes):
+    # the branching target is the lowest uncovered vertex with fewest potential
+    # dominators; taking the last such vertex instead explores 19, 9, 34 and 61 nodes
+    result = gamma(D)
+    assert (result.value, result.witness, result.nodes_explored) == (value, witness, nodes)
+    assert result.pruned_by == {"bound": bound_prunes, "cutoff": 0}
 
 
 def test_gamma_has_no_recursion_limit():
