@@ -9,7 +9,8 @@ Lookups are answered from an in-process index of the whole file. The index
 is trusted while the file's device, inode, size and modification time are
 unchanged; any other state of the file is read again in full, so a corrupt
 line warns once each time a changed file is re-read, not on every lookup.
-oridom's writers only append, and every append changes the size.
+oridom's writers only append, and every append changes the size: a store
+is one binary append, checked by ``os.fstat`` on its own handle.
 """
 
 from __future__ import annotations
@@ -43,12 +44,8 @@ def graph_key(G: UndirectedGraph) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _signature(path: Path) -> tuple[int, int, int, int] | None:
-    """The file's (device, inode, size, mtime_ns), or None if it does not exist."""
-    try:
-        st = os.stat(path)
-    except (FileNotFoundError, NotADirectoryError):
-        return None
+def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    """The file's (device, inode, size, mtime_ns)."""
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
@@ -76,39 +73,45 @@ class DomCache:
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
         self.path = self.directory / _FILENAME
+        self._keyed = None  # (graph, graph_key(graph)) for the last graph keyed
+
+    def _key(self, G: UndirectedGraph) -> str:
+        if self._keyed is None or self._keyed[0] is not G:
+            self._keyed = (G, graph_key(G))
+        return self._keyed[1]
 
     def lookup(self, G: UndirectedGraph) -> int | None:
         global _index
         # stat before reading: a line appended in between leaves the index
         # with an older signature, so the next lookup reads the file again
-        signature = _signature(self.path)
-        if signature is None:
+        try:
+            signature = _signature(os.stat(self.path))
+        except (FileNotFoundError, NotADirectoryError):
             return None
         if _index is None or _index[:2] != (self.path, signature):
             _index = (self.path, signature, _read_index(self.path))
-        return _index[2].get((graph_key(G), SOLVER_VERSION))
+        return _index[2].get((self._key(G), SOLVER_VERSION))
 
     def store(self, G: UndirectedGraph, value: int) -> None:
         global _index
-        key = graph_key(G)
-        line = f"{key}\t{value}\t{SOLVER_VERSION}\n"
-        before = _signature(self.path)
+        key = self._key(G)
+        line = f"{key}\t{value}\t{SOLVER_VERSION}\n".encode("ascii")
         try:
-            handle = open(self.path, "a", encoding="utf-8")
+            handle = open(self.path, "ab")
         except FileNotFoundError:  # the first store into a missing directory
             self.directory.mkdir(parents=True, exist_ok=True)
-            handle = open(self.path, "a", encoding="utf-8")
+            handle = open(self.path, "ab")
         with handle:
+            before = _signature(os.fstat(handle.fileno()))
             handle.write(line)
-        after = _signature(self.path)
-        # the index takes the new line only if nothing else touched the file
-        # between the two stats; otherwise the next lookup reads it again
+            handle.flush()
+            after = _signature(os.fstat(handle.fileno()))
+        # the index takes the new line only if it indexes this handle's file
+        # and nothing else wrote to it; otherwise the next lookup reads it again
         if (
             _index is not None
             and _index[:2] == (self.path, before)
-            and after is not None
-            and after[:2] == before[:2]
-            and after[2] == before[2] + len(line.encode("utf-8"))
+            and after[2] == before[2] + len(line)
         ):
             _index[2][key, SOLVER_VERSION] = value
             _index = (self.path, after, _index[2])

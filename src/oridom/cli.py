@@ -56,8 +56,8 @@ DESCRIPTION = ("Exact workbench for orientable domination. Exit codes: 0 success
 
 def _write(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(out, "wb") as handle:
+            handle.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

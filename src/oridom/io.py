@@ -7,7 +7,8 @@ digits (``exprs.parse_int``), fields are separated by spaces and tabs, and
 lines end in LF or CR LF; no other character, and so no non-ASCII
 one, counts as whitespace. Writers emit canonical order; parsers accept
 any line order but reject malformed headers, count mismatches, and range
-violations with line-numbered errors.
+violations with line-numbered errors. Loaders read a file as UTF-8 bytes
+with no newline translation, so a lone CR is an error there as in text.
 """
 
 from __future__ import annotations
@@ -109,11 +110,14 @@ def format_digraph(D: Digraph) -> str:
     return f"dg {D.n} {D.m}\n{body}"
 
 
+def _read_text(path) -> str:
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read().decode("utf-8")
+
+
 def load_graph(path) -> UndirectedGraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+    return parse_graph(_read_text(path))
 
 
 def load_digraph(path) -> Digraph:
-    with open(path, encoding="utf-8") as handle:
-        return parse_digraph(handle.read())
+    return parse_digraph(_read_text(path))

@@ -464,6 +464,16 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["", "missing.ug"], ids=["directory", "missing"])
+def test_unreadable_graph_path_is_named_in_the_error_line(name, tmp_path, capsys):
+    target = str(tmp_path / name)
+    assert main(["dom", "--graph", target, "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(target) in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -475,15 +485,18 @@ def test_malformed_graph_file_is_usage_error(tmp_path, capsys):
         ["rho", "--digraph", "{bad}.dg"],
         ["orient", "--scheme", "lex", "--base", "{bad}.ug", "--params", "h=empty:2"],
         ["dom", "--graph", "{dir}", "--no-cache"],
+        ["dom", "--graph", "{cr}", "--no-cache"],
     ],
     ids=["construct-out", "orient-out", "dom-bytes", "bounds-bytes", "gamma-bytes",
-         "rho-bytes", "orient-base-bytes", "dom-directory"],
+         "rho-bytes", "orient-base-bytes", "dom-directory", "dom-lone-cr"],
 )
 def test_bad_file_or_out_path_is_one_error_line(argv, tmp_path, capsys):
-    # each input file holds one byte that is not UTF-8
+    # each bad file holds one byte that is not UTF-8; cr.ug ends its lines in lone CRs
     (tmp_path / "bad.ug").write_bytes(b"ug 2 1\n0 1\xff\n")
     (tmp_path / "bad.dg").write_bytes(b"dg 2 1\n0 1\xff\n")
-    places = {"missing": tmp_path / "missing", "bad": tmp_path / "bad", "dir": tmp_path}
+    (tmp_path / "cr.ug").write_bytes(b"ug 3 2\r0 1\r1 2\r")
+    places = {"missing": tmp_path / "missing", "bad": tmp_path / "bad", "dir": tmp_path,
+              "cr": tmp_path / "cr.ug"}
     assert main([arg.format(**places) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -672,7 +685,7 @@ def test_cache_store_keeps_lines_other_writers_append(tmp_path, monkeypatch):
     cache.store(K, 3)
     assert cache.lookup(H) == 3 and cache.lookup(K) == 3
 
-    def racing_open(file, mode="r", *args, **kwargs):  # appends between store's two stats
+    def racing_open(file, mode="r", *args, **kwargs):  # appends as store opens the file
         if "a" in mode:
             with builtins.open(file, "a", encoding="utf-8") as other:
                 other.write(_line(L, 4))
@@ -682,6 +695,32 @@ def test_cache_store_keeps_lines_other_writers_append(tmp_path, monkeypatch):
     cache.store(M, 4)
     monkeypatch.undo()
     assert cache.lookup(L) == 4 and cache.lookup(M) == 4
+
+
+def test_cache_store_sees_a_line_appended_between_its_fstats(tmp_path, monkeypatch):
+    cache = DomCache(tmp_path)
+    G, H, K = path(3), path(4), path(5)
+    cache.store(G, 2)
+    assert cache.lookup(G) == 2
+    fstat, calls = os.fstat, []
+
+    def racing_fstat(fd):  # another writer appends after store's first signature
+        result = fstat(fd)
+        calls.append(fd)
+        if len(calls) == 1:
+            with builtins.open(cache.path, "ab") as other:
+                other.write(_line(H, 3).encode("ascii"))
+        return result
+
+    monkeypatch.setattr(cache_mod.os, "fstat", racing_fstat)
+    cache.store(K, 4)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    read_index, reads = cache_mod._read_index, []
+    monkeypatch.setattr(cache_mod, "_read_index", lambda path: reads.append(path) or read_index(path))
+    assert cache.lookup(H) == 3 and cache.lookup(K) == 4 and cache.lookup(G) == 2
+    assert reads == [cache.path]  # the next lookup read the file again, once
+    assert cache.path.read_text(encoding="ascii") == _line(G, 2) + _line(H, 3) + _line(K, 4)
 
 
 def test_cache_store_makes_missing_directories(tmp_path):

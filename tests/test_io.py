@@ -5,6 +5,8 @@ from oridom.io import (
     GraphFormatError,
     format_digraph,
     format_graph,
+    load_digraph,
+    load_graph,
     parse_digraph,
     parse_graph,
 )
@@ -97,9 +99,28 @@ def test_digraph_allows_opposite_arcs():
 
 
 def test_file_round_trip(tmp_path):
-    from oridom.io import load_graph
-
     G = cycle(6)
     target = tmp_path / "c6.ug"
     target.write_text(format_graph(G), encoding="utf-8")
     assert load_graph(target).edges == G.edges
+    target.write_bytes(format_graph(G).replace("\n", "\r\n").encode("ascii"))
+    assert load_graph(target) == G
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"ug 3 2\r0 1\r1 2\r", b"ug 2 1\r\r\n0 1\r\r\n", b"ug 3 2\n0 1\r1 2\n",
+     b"dg 2 1\r1 0\r", b"dg 2 1\r\r\n1 0\r\r\n", b"dg 3 2\n0 1\r\r\n1 2\n"],
+)
+def test_lone_cr_file_fails_as_its_text_does(data, tmp_path):
+    # a file is read with no newline translation, so a CR that does not end
+    # a CR LF pair stays in its line, in a file as in text
+    text = data.decode("ascii")
+    parse, load = (parse_graph, load_graph) if text.startswith("ug") else (parse_digraph, load_digraph)
+    with pytest.raises(GraphFormatError) as parsed:
+        parse(text)
+    target = tmp_path / "cr.txt"
+    target.write_bytes(data)
+    with pytest.raises(GraphFormatError) as loaded:
+        load(target)
+    assert str(loaded.value) == str(parsed.value)

@@ -5,16 +5,28 @@ replaced or deleted or a run of up to 12 digits inserted, may only raise the
 parser's own error type; the graph formats round-trip through their writers.
 Sizes over the cap are refused before anything of that size is built, so
 digit runs of any length stay cheap. Valid text with one non-ASCII character
-inserted anywhere never parses.
+inserted anywhere never parses. A file loads exactly as its bytes, decoded as
+UTF-8, parse: the same graph, or the same error.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oridom.exprs import ExprError, parse_graph_expr
 from oridom.graphs import build_digraph, build_graph
-from oridom.io import GraphFormatError, format_digraph, format_graph, parse_digraph, parse_graph
+from oridom.io import (
+    GraphFormatError,
+    format_digraph,
+    format_graph,
+    load_digraph,
+    load_graph,
+    parse_digraph,
+    parse_graph,
+)
 
 # half the edits use characters that str methods take for digits or line
 # breaks: U+00B2 '²' (isdigit, but int() rejects it), U+0663 (an Arabic-Indic
@@ -147,3 +159,26 @@ def test_graph_text_with_a_non_ascii_character_never_parses(text):
 def test_expression_with_a_non_ascii_character_never_parses(text):
     with pytest.raises(ExprError):
         parse_graph_expr(text)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:  # GraphFormatError, or UnicodeDecodeError from the bytes
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated(_graph_texts, _GRAPH_CHARS + "\r").map(lambda text: text.encode("utf-8")))
+@example(b"ug 2 1\r0 1\r")  # lone CRs
+@example(b"dg 2 1\r\r\n1 0\r\r\n")  # CR CR LF
+@example(b"ug 2 1\r\n0 1\r\n")  # CR LF
+@example(b"ug 2 1\n0 1\xff\n")  # not UTF-8
+@example(b"dg 2 1\n0 1\n\xc3")  # a truncated UTF-8 sequence
+@example(b"\xef\xbb\xbfug 2 1\n0 1\n")  # a UTF-8 byte order mark
+def test_loaders_agree_with_parsers(data):
+    with tempfile.TemporaryDirectory() as directory:
+        target = Path(directory) / "graph.txt"
+        target.write_bytes(data)
+        for parse, load in ((parse_graph, load_graph), (parse_digraph, load_digraph)):
+            assert _outcome(load, target) == _outcome(lambda: parse(data.decode("utf-8")))
