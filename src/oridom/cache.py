@@ -3,7 +3,9 @@
 Relabeling an isomorphic graph therefore misses on purpose. The cache file
 is line-oriented ``hash<TAB>value<TAB>solver-version``; the last line for a
 key and version wins, and corrupt lines are skipped with a warning, never
-fatal.
+fatal. The file is read as bytes, and only LF (or CR LF) ends a line: a
+line holding any other CR, or a byte that is not ASCII, is corrupt as a
+whole.
 
 Lookups are answered from an in-process index of the whole file. The index
 is trusted while the file's device, inode, size and modification time are
@@ -53,19 +55,20 @@ def _read_index(path: Path) -> dict[tuple[str, str], int]:
     index = {}
     # a byte that is not UTF-8 decodes to a lone surrogate, so its line is
     # not ASCII and is skipped like any other corrupt line
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                # oridom writes only ASCII lines, each value a run of ASCII digits
-                if not line.isascii() or len(fields) != 3:
-                    raise ValueError
-                index[fields[0], fields[2]] = parse_int(fields[1])
-            except ValueError:
-                warnings.warn(f"skipping corrupt cache line {lineno}: {line!r}", stacklevel=3)
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8", "surrogateescape")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")  # CR LF ends a line as LF does
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            # oridom writes only ASCII lines without CR, each value a run of ASCII digits
+            if not line.isascii() or "\r" in line or len(fields) != 3:
+                raise ValueError
+            index[fields[0], fields[2]] = parse_int(fields[1])
+        except ValueError:
+            warnings.warn(f"skipping corrupt cache line {lineno}: {line!r}", stacklevel=3)
     return index
 
 

@@ -17,18 +17,20 @@ n - matching_number. On a bipartite graph this equals alpha (Konig), so
 there one matching gives both ends, and the scan ends at the first mask
 attaining the floor.
 
-Masks are built in numpy chunks. Below _CHUNK, a chunk starting at pos > 0
-ends at 2 pos, or at 8 pos (_LAST_RISE_GROWTH) once the incumbent is
-ceiling - 1 and the exact filter runs at it, capped at _CHUNK; from _CHUNK
-on chunks are _CHUNK wide. Every chunk start below _CHUNK is a power of
-two, and a scan that stops early builds few masks. An open scan's first
-chunk is [0, 8), its exact prefix (8, 8, 16, 32, ...); a scan whose floor
-meets its ceiling starts with _CLOSED_FIRST = 64 masks instead (64, 64,
-128, ... or, under the exact filter, 64, 448, 3584, ...). The first masks,
-[0, 8) or mask 0 alone when floor meets ceiling, get an exact gamma in
-Python, and the chunks skip them: on so few masks numpy's fixed cost
+Masks are built in numpy chunks, on a schedule _scan sets chunk by
+chunk; _chunk_rows only builds them. The first masks, [0, 8) or mask 0
+alone when floor meets ceiling, get an exact gamma in Python, and the
+chunks start after this exact prefix: on so few masks numpy's fixed cost
 outweighs the exact work. One counts as an exact evaluation iff it beats
 the incumbent (what the exact filter passes), else as vector-filtered.
+Below _CHUNK, a chunk starting at pos ends at 2 pos, or at 8 pos
+(_LAST_RISE_GROWTH) once the incumbent is ceiling - 1 and the exact
+filter runs at it, capped at _CHUNK; from _CHUNK on chunks are _CHUNK
+wide. An open scan's chunks start at 8 (8, 16, 32, ...); a scan whose
+floor meets its ceiling has a first chunk [1, _CLOSED_FIRST) = [1, 64)
+instead (then 64, 128, ... or, under the exact filter, 64, 512, 4096,
+...). Every later chunk start below _CHUNK is a power of two, and a scan
+that stops early builds few masks.
 
 Flipping edge (u, v) toggles bit v of row u and bit u of row v, since in
 a simple graph no other edge sets those bits. Under the exact filter, a
@@ -77,12 +79,12 @@ a mask below pos that differs in one edge. Every gamma in the chunk is
 thus at most the incumbent + 1, the incumbent rises at most once per
 chunk, and the masks after the rise cannot beat it. The prefix keeps
 this bound by walking [0, 8) as the chunks [0, 1), [1, 2), [2, 4) and
-[4, 8), the first of which has one mask anyway. At incumbent ceiling - 1, which a closed scan
-(floor = ceiling) starts at, any rise reaches the ceiling and stops the
-scan, so its chunks need no such bound: the wide first chunk and the
-8-fold ones. The exact filter's first survivor is then the stopping
-mask, and no mask after it is counted, so the longer chunks change no
-counter.
+[4, 8), the first of which has one mask anyway. At incumbent
+ceiling - 1, which a closed scan (floor = ceiling) starts at, any rise
+reaches the ceiling and stops the scan, so its chunks need no such
+bound: the wide first chunk and the 8-fold ones. The exact filter's
+first survivor is then the stopping mask, and no mask after it is
+counted, so the longer chunks change no counter.
 
 Isolated vertices are forced into every dominating set of every
 orientation; they are stripped before the scan, whose floor and ceiling
@@ -110,7 +112,7 @@ _SUBSET_BUDGET = 800
 _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
 _GROUP_BITS = 3  # the exact filter certifies aligned groups of 1 << _GROUP_BITS columns
 _GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
-_CLOSED_FIRST = 64  # first chunk width of a scan whose floor meets its ceiling
+_CLOSED_FIRST = 64  # where the first chunk of a scan whose floor meets its ceiling ends
 _LAST_RISE_GROWTH = 8  # chunk growth below _CHUNK once the next rise must stop the scan
 
 
@@ -123,25 +125,21 @@ def _group_depth(width):
     return depth
 
 
-def _chunk_rows(n, edges, stop, first=1, growth=lambda: 2, grouped=None):
-    """Yield (pos, rows) over [0, stop): rows[v][j] is v's closed out-row under mask pos + j.
+def _chunk_rows(n, edges, stop):
+    """Return build(pos, end, depth) -> (rows, tables) for the chunks of [0, stop).
 
-    The first chunk is [0, first) (first a power of two). Below _CHUNK, a
-    later chunk starting at pos ends at growth() * pos, capped at _CHUNK;
-    growth() is read as each chunk starts and returns 2 or
-    _LAST_RISE_GROWTH, so every chunk start below _CHUNK is a power of two.
-    From _CHUNK on, chunks are _CHUNK wide.
+    rows[v][j] is v's closed out-row under mask pos + j. At depth d > 0,
+    with b = _GROUP_BITS, column g of rows instead holds mask pos + (g << b d)
+    with only the arcs of edges[b d:], a subdigraph of all 2^(b d) masks of
+    its group, and tables[k] (k < d) is the (n, 1, 2^b) array of the arcs of
+    edges[b k : b (k + 1)] under each of their 2^b orientations. At depth 0
+    there are no tables.
 
-    With grouped, yield (pos, rows, tables) instead: grouped() is read as
-    each chunk of _GROUP_MIN or more columns starts, and a chunk it answers
-    true for is built at its group depth d = _group_depth(width). With
-    b = _GROUP_BITS, column g of rows then holds mask pos + (g << b d) with
-    only the arcs of edges[b d:], a subdigraph of all 2^(b d) masks of its
-    group, and tables[k] (k < d) is the (n, 1, 2^b) array of the arcs of
-    edges[b k : b (k + 1)] under each of their 2^b orientations. Other
-    chunks are at depth 0, with no tables.
+    Chunks are asked for in increasing order. pos and end are multiples of
+    2^(b d), a chunk below _CHUNK ends at or before _CHUNK, and a chunk
+    from _CHUNK on starts at a multiple of _CHUNK and is at most _CHUNK wide.
 
-    rows is a view of its depth's buffer, overwritten by a later step. A
+    rows is a view of its depth's buffer, overwritten by a later call. A
     buffer is allocated when a chunk first needs it, _GROUP_MIN columns or
     more (at most the widest chunk's width >> b d), and grown by copying.
     Below _CHUNK its column j holds mask j << b d; it starts from mask 0, or
@@ -161,22 +159,16 @@ def _chunk_rows(n, edges, stop, first=1, growth=lambda: 2, grouped=None):
         delta[e, u], delta[e, v] = 1 << v, 1 << u
     out = np.array(out, dtype=word)[:, None]
     buffers, tables = {}, None  # depth -> (rows, filled columns, base)
-    pos = 0
-    while pos < stop:
-        if pos < _CHUNK:
-            end = min(stop, _CHUNK, growth() * pos if pos else first)
-        else:
-            end = min(stop, pos + _CHUNK)
-        depth = 0
-        if grouped is not None and end - pos >= _GROUP_MIN and grouped():
-            depth = _group_depth(end - pos)
-            if tables is None:  # every level the widest chunk is built at, once
-                levels = _group_depth(width)
-                arcs = delta[: _GROUP_BITS * levels].reshape(levels, _GROUP_BITS, n, 1)
-                tables = np.bitwise_or.reduce(arcs & out, axis=1)  # each level's arcs under mask 0
-                for i in range(_GROUP_BITS):
-                    tables = np.concatenate((tables, tables ^ arcs[:, i]), axis=2)
-                tables = tables[:, :, None]
+
+    def build(pos, end, depth):
+        nonlocal tables
+        if depth and tables is None:  # every level the widest chunk is built at, once
+            levels = _group_depth(width)
+            arcs = delta[: _GROUP_BITS * levels].reshape(levels, _GROUP_BITS, n, 1)
+            tables = np.bitwise_or.reduce(arcs & out, axis=1)  # each level's arcs under mask 0
+            for i in range(_GROUP_BITS):
+                tables = np.concatenate((tables, tables ^ arcs[:, i]), axis=2)
+            tables = tables[:, :, None]
         shift = _GROUP_BITS * depth
         # the buffer doubles, so it fills a power of two of columns
         need = 1 << (((end if pos < _CHUNK else width) >> shift) - 1).bit_length()
@@ -212,11 +204,9 @@ def _chunk_rows(n, edges, stop, first=1, growth=lambda: 2, grouped=None):
             base = pos
             chunk = rows[:, : (end - pos) >> shift]
         buffers[depth] = rows, filled, base
-        if grouped is None:
-            yield pos, chunk
-        else:
-            yield pos, chunk, tables[:depth] if depth else ()
-        pos = end
+        return chunk, tables[:depth] if depth else ()
+
+    return build
 
 
 @functools.cache
@@ -239,14 +229,14 @@ def _outside(n, k, dtype):
 def _drop_covered(rows, n, cap, edges, tables=()):
     """Offsets of the masks of a chunk not certified to have gamma <= cap.
 
-    rows and tables are as _chunk_rows yields them: a chunk at group depth
-    d = len(tables), whose columns hold only the arcs of edges[b d:]
-    (b = _GROUP_BITS); the offsets are those of the chunk's own masks. The
-    exact filter tests the columns, expands each survivor 2^b-fold by OR-ing
-    in tables[d - 1], tests those, and so on through tables[0]; the greedy
-    cover takes depth-0 chunks only. Needs cap >= 1: _scan evaluates mask 0
-    exactly, and gamma >= 1 beats an incumbent of 0. Does not write into
-    rows.
+    rows and tables are as the builder of _chunk_rows returns them: a chunk
+    at group depth d = len(tables), whose columns hold only the arcs of
+    edges[b d:] (b = _GROUP_BITS); the offsets are those of the chunk's own
+    masks. The exact filter tests the columns, expands each survivor
+    2^b-fold by OR-ing in tables[d - 1], tests those, and so on through
+    tables[0]; the greedy cover takes depth-0 chunks only. Needs cap >= 1:
+    _scan evaluates mask 0 exactly, and gamma >= 1 beats an incumbent of 0.
+    Does not write into rows.
     """
     full = rows.dtype.type((1 << n) - 1)
     # cap stays below the scan's ceiling n - nu <= n - 1, so cap-subsets are proper
@@ -359,32 +349,29 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
         else:
             mask += 1
 
-    def exact_filter():
-        return math.comb(n, best_val) <= _SUBSET_BUDGET
-
-    def growth():  # at ceiling - 1 any rise stops the scan, at its first exact survivor
-        return _LAST_RISE_GROWTH if best_val == ceiling - 1 and exact_filter() else 2
-
     if best_val < ceiling and prefix < stop:
-        # a closed sandwich has one possible rise, to the ceiling, and it stops the
-        # scan; with no one-rise break to protect, the first chunk can be wide. An
-        # open scan's first chunk is its exact prefix. Under the exact filter,
-        # chunks are built at their group depth
-        chunks = _chunk_rows(n, edges, stop, _CLOSED_FIRST if closed else prefix, growth, exact_filter)
-        for pos, rows, tables in chunks:
-            if pos == 0 and not closed:
-                continue
+        build = _chunk_rows(n, edges, stop)
+        pos = prefix
+        while pos < stop and best_val < ceiling:
+            exact_filter = math.comb(n, best_val) <= _SUBSET_BUDGET
+            if pos < _CHUNK:
+                # at ceiling - 1 any rise stops the scan, at its first exact survivor. A
+                # closed sandwich has one possible rise, to the ceiling, and it stops the
+                # scan; with no one-rise break to protect, its first chunk can be wide
+                growth = _LAST_RISE_GROWTH if best_val == ceiling - 1 and exact_filter else 2
+                end = min(stop, _CHUNK, max(growth * pos, _CLOSED_FIRST if closed else 0))
+            else:
+                end = min(stop, pos + _CHUNK)
+            depth = _group_depth(end - pos) if exact_filter and end - pos >= _GROUP_MIN else 0
+            rows, tables = build(pos, end, depth)
             for offset in map(int, _drop_covered(rows, n, best_val, edges, tables)):
-                if pos + offset < prefix:  # mask 0 of a closed scan, if the greedy cover kept it
-                    continue
                 value = exact(pos + offset)
                 exact_evals += 1
                 if value > best_val:
                     # the chunk's one rise: no later mask in it can beat the new incumbent
                     best_val, best_mask = value, pos + offset
                     break
-            if best_val >= ceiling:
-                break
+            pos = end
 
     # masks after the stopping one do not count as explored
     ceiling_stop = int(best_val >= ceiling)

@@ -764,6 +764,28 @@ def test_cache_corrupt_line_after_warm_index_warns_once_per_read(tmp_path):
         assert cache.lookup(G) == 2  # unchanged file: no second read, no warning
 
 
+def test_cache_line_with_a_cr_before_its_end_is_corrupt_as_a_whole(tmp_path):
+    # only LF ends a cache line, and one CR before it is dropped: a lone CR is no line
+    # end, so the key after it answers nothing, and CR CR LF is corrupt too
+    G, H, K = path(3), path(4), path(5)
+    cache = DomCache(tmp_path)
+    tmp_path.joinpath(cache_mod._FILENAME).write_bytes(
+        b"junk\r" + _line(G, 7).encode("ascii")
+        + _line(H, 3).encode("ascii").replace(b"\n", b"\r\n")
+        + _line(K, 9).encode("ascii").replace(b"\n", b"\r\r\n")
+    )
+    with pytest.warns(UserWarning, match="corrupt cache line") as record:
+        assert cache.lookup(G) is None
+    corrupt = {1: "junk\r" + _line(G, 7)[:-1], 3: _line(K, 9)[:-1] + "\r"}
+    assert [str(w.message) for w in record] == [
+        f"skipping corrupt cache line {lineno}: {line!r}" for lineno, line in corrupt.items()
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cache.lookup(H) == 3  # CR LF ends a line as LF does
+        assert cache.lookup(K) is None
+
+
 def test_cache_reads_an_unchanged_file_at_most_once(tmp_path, monkeypatch):
     cache = DomCache(tmp_path)
     G = path(5)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from brute import brute_dom, brute_gamma, brute_rho
 import oridom
 from oridom import corpus, domsearch
-from oridom.domsearch import Solver, _chunk_rows, _drop_covered, dom
+from oridom.domsearch import Solver, _chunk_rows, _drop_covered, _group_depth, dom
 from oridom.graphs import (
     CapExceeded,
     Orientation,
@@ -388,6 +388,24 @@ def _reference_rows(digraphs, n, dtype=np.uint64):
     return np.array([[D.out_rows[v] | 1 << v for D in digraphs] for v in range(n)], dtype=dtype)
 
 
+def _chunks(n, edges, stop, start=0, first=1, schedule=((2, False),)):
+    # yield (pos, rows, tables) for the chunks of [start, stop) on _scan's rule: below
+    # _CHUNK a chunk at pos ends at max(growth * pos, first), capped at _CHUNK, and a
+    # grouped chunk of _GROUP_MIN or more columns is built at its group depth; each
+    # chunk's (growth, grouped) is taken in turn from schedule, cycled
+    build, pos = _chunk_rows(n, edges, stop), start
+    for growth, grouped in itertools.cycle(schedule):
+        if pos >= stop:
+            return
+        if pos < domsearch._CHUNK:
+            end = min(stop, domsearch._CHUNK, max(growth * pos, first))
+        else:
+            end = min(stop, pos + domsearch._CHUNK)
+        depth = _group_depth(end - pos) if grouped and end - pos >= domsearch._GROUP_MIN else 0
+        yield (pos, *build(pos, end, depth))
+        pos = end
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(2, 7))
@@ -408,7 +426,7 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_CHUNK", chunk)
             covered = 0
-            for pos, rows in _chunk_rows(G.n, G.edges, stop):
+            for pos, rows, _ in _chunks(G.n, G.edges, stop):
                 assert pos == covered and rows.shape[1] == min(chunk, max(1, pos))
                 assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
                 covered += rows.shape[1]
@@ -425,16 +443,17 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
 @pytest.mark.parametrize("first", [1, domsearch._CLOSED_FIRST])
 @pytest.mark.parametrize("stop", [100, 1 << 10])
 def test_chunk_rows_grow_then_rebase(chunk, first, stop, monkeypatch):
-    # below _CHUNK the buffer doubles and a chunk at pos ends at growth * pos;
-    # _CHUNK 8 and 16 hand over to the rebased buffer, inside the first wide
-    # chunk at _CLOSED_FIRST; stop 100 ends in a part chunk on either path
+    # chunks from mask 0, the first ending at `first`: below _CHUNK the buffer
+    # doubles and a chunk at pos ends at growth * pos; _CHUNK 8 and 16 hand over
+    # to the rebased buffer, inside the first wide chunk [0, _CLOSED_FIRST);
+    # stop 100 ends in a part chunk on either path
     G = complete(5)
     reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
     monkeypatch.setattr(domsearch, "_CHUNK", chunk)
     for growth in (2, domsearch._LAST_RISE_GROWTH):
         covered = 0
-        for pos, rows in _chunk_rows(G.n, G.edges, stop, first, lambda: growth):
-            end = pos + chunk if pos >= chunk else min(chunk, growth * pos if pos else first)
+        for pos, rows, _ in _chunks(G.n, G.edges, stop, 0, first, [(growth, False)]):
+            end = pos + chunk if pos >= chunk else min(chunk, max(growth * pos, first))
             assert pos == covered and rows.shape[1] == min(stop, end) - pos
             assert rows.dtype == np.uint8 and np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
             covered += rows.shape[1]
@@ -442,31 +461,29 @@ def test_chunk_rows_grow_then_rebase(chunk, first, stop, monkeypatch):
 
 
 def test_chunk_rows_last_rise_growth_bounds():
-    # at the default _CHUNK, a closed scan at growth 8 runs these chunks; the
-    # rows are checked on a few columns of each, at 2^18 masks of K_7
+    # at the default _CHUNK, a closed scan at growth 8 asks for these chunks, from
+    # mask 1 on; the rows are checked on a few columns of each, at 2^18 masks of K_7
     G, stop, chunk = complete(7), 1 << 18, domsearch._CHUNK
-    growth = domsearch._LAST_RISE_GROWTH
+    schedule = [(domsearch._LAST_RISE_GROWTH, False)]
     bounds, rng = [], random.Random(0)
-    for pos, rows in _chunk_rows(G.n, G.edges, stop, domsearch._CLOSED_FIRST, lambda: growth):
+    for pos, rows, _ in _chunks(G.n, G.edges, stop, 1, domsearch._CLOSED_FIRST, schedule):
         bounds.append(pos)
         width = rows.shape[1]
         offsets = [0, width // 2, width - 1, *rng.sample(range(width), min(width, 8))]
         reference = _reference_rows([Orientation(G, pos + j).to_digraph() for j in offsets], G.n)
         assert np.array_equal(rows[:, offsets], reference)
-    assert bounds + [stop] == [0, 64, 512, 4096, 32768, chunk, 2 * chunk, 3 * chunk, 4 * chunk]
+    assert bounds + [stop] == [1, 64, 512, 4096, 32768, chunk, 2 * chunk, 3 * chunk, 4 * chunk]
 
 
 def test_chunk_rows_switch_growth_mid_scan():
-    # growth() is read as each chunk starts: 2 up to the chunk at 16, 8 after it,
-    # as an open scan switches after its rise to ceiling - 1
+    # growth 2 up to the chunk at 16, 8 after it, as an open scan switches after its
+    # rise to ceiling - 1
     G, stop = complete(5), 1 << 10
     reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
-    factor, bounds = [2], []
-    for pos, rows in _chunk_rows(G.n, G.edges, stop, 1, lambda: factor[0]):
+    schedule, bounds = [(2, False)] * 6 + [(domsearch._LAST_RISE_GROWTH, False)] * 2, []
+    for pos, rows, _ in _chunks(G.n, G.edges, stop, schedule=schedule):
         bounds.append(pos)
         assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
-        if pos == 16:
-            factor[0] = domsearch._LAST_RISE_GROWTH
     assert bounds == [0, 1, 2, 4, 8, 16, 32, 256]  # powers of two
 
 
@@ -517,7 +534,7 @@ def test_drop_covered_leaves_the_chunk_unchanged(group_min, budget, monkeypatch)
     G = multipartite(1, 2, 3)
     monkeypatch.setattr(domsearch, "_GROUP_MIN", group_min)
     monkeypatch.setattr(domsearch, "_SUBSET_BUDGET", budget)
-    for pos, rows, tables in _chunk_rows(G.n, G.edges, 1 << G.m, grouped=lambda: budget > 0):
+    for pos, rows, tables in _chunks(G.n, G.edges, 1 << G.m, schedule=[(2, budget > 0)]):
         before = rows.tobytes()
         for cap in range(1, G.n - 1):
             _drop_covered(rows, G.n, cap, G.edges, tables)
@@ -533,7 +550,7 @@ def test_chunk_gamma_rises_at_most_one_above_its_prefix(G):
     for chunk in (1, 2, 4, 8, domsearch._CHUNK):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_CHUNK", chunk)
-            for pos, rows in _chunk_rows(G.n, G.edges, 1 << G.m):
+            for pos, rows, _ in _chunks(G.n, G.edges, 1 << G.m):
                 if pos:  # the chunk at 0 is the single mask 0
                     assert max(gammas[pos : pos + rows.shape[1]]) <= max(gammas[:pos]) + 1
 
@@ -617,50 +634,48 @@ def test_drop_covered_groups_keep_exactly_the_gamma_above_cap(G):
 
 
 @st.composite
-def grouping_patterns(draw):
-    # which chunks grouped() answers true for, read in turn and then repeated
-    return draw(st.lists(st.booleans(), min_size=1, max_size=6))
+def chunk_schedules(draw):
+    # where the chunks start and the first one ends, as in _scan's rule (from 0, from the
+    # closed prefix 1 or from the open prefix 8), then each chunk's growth and grouping,
+    # taken in turn and repeated
+    start, first = draw(st.sampled_from([(0, 1), (1, domsearch._CLOSED_FIRST), (8, 0)]))
+    steps = st.tuples(st.sampled_from([2, domsearch._LAST_RISE_GROWTH]), st.booleans())
+    return start, first, draw(st.lists(steps, min_size=1, max_size=8))
 
 
-@given(chunked_graphs(), grouping_patterns())
+@given(chunked_graphs(), chunk_schedules())
 @settings(max_examples=15, deadline=None)
-def test_chunk_rows_build_grouped_chunks_at_their_depth(G, pattern):
-    # _GROUP_MIN 8 groups every chunk of 8 or more columns; a grouped chunk at depth d
+def test_chunk_rows_build_grouped_chunks_at_their_depth(G, schedule):
+    # _GROUP_MIN 8 groups every grouped chunk of 8 or more columns; a chunk at depth d
     # is every (1 << bits d)-th column of the reference with the arcs of edges[:bits d]
-    # cleared, and its tables hold the arcs of each level's edges. grouped() switches
-    # chunks between depths, so buffers of several depths grow and rebase in turn
+    # cleared, and its tables hold the arcs of each level's edges. The drawn schedule
+    # switches chunks between growths and depths, below _CHUNK and from it on, so the
+    # buffers of several depths grow, seed one another and rebase in turn
+    start, first, steps = schedule
     n, stop = G.n, 1 << G.m
     reference = _reference_rows([Orientation(G, b).to_digraph() for b in range(stop)], n, np.uint8)
     for chunk in (8, 16, domsearch._CHUNK):
-        for growth in (2, domsearch._LAST_RISE_GROWTH):
-            for bits in (1, 3):
-                answers, asked = itertools.cycle(pattern), []
-
-                def grouped():
-                    asked.append(next(answers))
-                    return asked[-1]
-
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(domsearch, "_GROUP_MIN", 8)
-                    mp.setattr(domsearch, "_CHUNK", chunk)
-                    mp.setattr(domsearch, "_GROUP_BITS", bits)
-                    covered = read = 0
-                    for pos, rows, tables in _chunk_rows(n, G.edges, stop, 1, lambda: growth, grouped):
-                        depth, width = len(tables), rows.shape[1] << bits * len(tables)
-                        # grouped() is read only for chunks of _GROUP_MIN or more columns
-                        was_read, read = len(asked) > read, len(asked)
-                        assert was_read == (width >= 8)
-                        expected, w = 0, width
-                        while was_read and asked[-1] and w >= 8 and w % (1 << bits) == 0:
-                            expected, w = expected + 1, w >> bits
-                        assert pos == covered and depth == expected and rows.dtype == np.uint8
-                        full = reference[:, pos : pos + width]
-                        cleared = _cleared(G, G.edges[: bits * depth])
-                        assert np.array_equal(rows, full[:, :: 1 << bits * depth] & cleared)
-                        for table, ref in zip(tables, _reference_tables(G, depth, bits), strict=True):
-                            assert table.shape == (n, 1, 1 << bits) and np.array_equal(table, ref)
-                        covered += width
-                    assert covered == stop
+        for bits in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(domsearch, "_GROUP_MIN", 8)
+                mp.setattr(domsearch, "_CHUNK", chunk)
+                mp.setattr(domsearch, "_GROUP_BITS", bits)
+                covered = start
+                built = _chunks(n, G.edges, stop, start, first, steps)
+                for (growth, grouped), (pos, rows, tables) in zip(itertools.cycle(steps), built):
+                    end = min(stop, pos + chunk) if pos >= chunk else min(stop, chunk, max(growth * pos, first))
+                    expected, w = 0, end - pos
+                    while grouped and w >= 8 and w % (1 << bits) == 0:
+                        expected, w = expected + 1, w >> bits
+                    depth = len(tables)
+                    assert pos == covered and depth == expected and rows.dtype == np.uint8
+                    assert rows.shape[1] << bits * depth == end - pos
+                    cleared = _cleared(G, G.edges[: bits * depth])
+                    assert np.array_equal(rows, reference[:, pos : end : 1 << bits * depth] & cleared)
+                    for table, ref in zip(tables, _reference_tables(G, depth, bits), strict=True):
+                        assert table.shape == (n, 1, 1 << bits) and np.array_equal(table, ref)
+                    covered = end
+                assert covered == stop
 
 
 @given(chunked_graphs())
@@ -681,9 +696,10 @@ def test_dom_does_not_depend_on_grouping(G):
 @given(st.one_of(chunked_graphs(), small_graphs()))
 @settings(max_examples=30, deadline=None)
 def test_dom_does_not_depend_on_closed_scan_first_width(G):
-    # bipartite graphs are closed sandwiches (Konig), so many of these start at
-    # _CLOSED_FIRST masks; width 1,024 also groups the first chunk, and budget 0
-    # puts the greedy cover in place of the exact filter
+    # bipartite graphs are closed sandwiches (Konig), so many of these start with the
+    # chunk [1, _CLOSED_FIRST); at 1 it is [1, growth), and [1, 1024) is 1,023 columns,
+    # an odd width, so it is not grouped. Budget 0 puts the greedy cover in place of
+    # the exact filter
     for budget in (domsearch._SUBSET_BUDGET, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_SUBSET_BUDGET", budget)
@@ -726,7 +742,7 @@ def test_drop_covered_complement_form_on_group_rows(G):
 @given(st.one_of(chunked_graphs(), small_graphs()), st.sampled_from([2, domsearch._LAST_RISE_GROWTH]))
 @settings(max_examples=20, deadline=None)
 def test_drop_covered_at_depth_keeps_the_chunk_masks_with_gamma_above_cap(G, growth):
-    # every chunk _chunk_rows yields, at the depth it is built at, against the gamma of
+    # every chunk the builder returns, at the depth it is built at, against the gamma of
     # each of its masks; _GROUP_MIN 8 groups chunks of 8 columns and more, and growth
     # 8 makes chunks 7 * 2^k wide. Caps on both sides of n / 2 walk subsets and
     # complements
@@ -736,7 +752,7 @@ def test_drop_covered_at_depth_keeps_the_chunk_masks_with_gamma_above_cap(G, gro
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_GROUP_MIN", 8)
             mp.setattr(domsearch, "_GROUP_BITS", bits)
-            for pos, rows, tables in _chunk_rows(n, G.edges, 1 << G.m, 1, lambda: growth, lambda: True):
+            for pos, rows, tables in _chunks(n, G.edges, 1 << G.m, schedule=[(growth, True)]):
                 chunk = gammas[pos : pos + (rows.shape[1] << bits * len(tables))]
                 for cap in range(1, n - 1):
                     alive = _drop_covered(rows, n, cap, G.edges, tables)
@@ -818,13 +834,74 @@ def test_dom_filter_calls_are_pinned(G, filter_calls, monkeypatch):
     assert len(calls) == filter_calls
 
 
+_POWERS = [1 << k for k in range(3, 16)]  # 8, 16, ..., 32768
+
+
+@pytest.mark.parametrize(
+    "G, budget, starts",
+    [
+        (multipartite(1, 18), domsearch._SUBSET_BUDGET, [1, 64, 512, 4096, 32768]),
+        (multipartite(2, 2, 4), domsearch._SUBSET_BUDGET, [1, 64, 512, 4096, 32768]),
+        (cartesian(complete(3), complete(3)), domsearch._SUBSET_BUDGET, [*_POWERS[:9], 16384]),
+        (complete(7), domsearch._SUBSET_BUDGET, _POWERS),
+        (multipartite(1, 18), 0, [1, *_POWERS[3:]]),
+        (cartesian(complete(3), complete(3)), 0, _POWERS),
+    ],
+    ids=["K_1,18", "K_2,2,4", "K_3xK_3", "K_7", "K_1,18-greedy", "K_3xK_3-greedy"],
+)
+def test_scan_sets_the_chunk_schedule(G, budget, starts, monkeypatch):
+    # the chunks _scan asks the builder for, each with the incumbent its filter ran at.
+    # K_1,18 and K_2,2,4 are closed scans at growth 8 from mask 1 on, K_3xK_3 switches
+    # to growth 8 at 2,048 after its rise to 4 at mask 1,322, and K_7 reaches
+    # ceiling - 1 = 3 only after _CHUNK. Under the greedy cover (budget 0) no chunk
+    # grows 8-fold or is grouped
+    real_rows, real_drop, chunks = domsearch._chunk_rows, domsearch._drop_covered, []
+
+    def recording(n, edges, stop):
+        build = real_rows(n, edges, stop)
+
+        def recorded(pos, end, depth):
+            chunks.append([pos, end, depth])
+            return build(pos, end, depth)
+
+        return recorded
+
+    def drop(rows, n, cap, edges, tables):
+        chunks[-1].append(cap)
+        return real_drop(rows, n, cap, edges, tables)
+
+    monkeypatch.setattr(domsearch, "_chunk_rows", recording)
+    monkeypatch.setattr(domsearch, "_drop_covered", drop)
+    monkeypatch.setattr(domsearch, "_SUBSET_BUDGET", budget)
+    result = dom(G)
+    floor, ceiling, _ = sandwich(G)
+    chunk, stop = domsearch._CHUNK, 1 << G.m
+    # the first chunk starts at the exact prefix, each later one where the one before ended
+    assert chunks[0][0] == (1 if floor == ceiling else 8)
+    assert [pos for pos, *_ in chunks[1:]] == [end for _, end, *_ in chunks[:-1]]
+    assert [pos for pos, *_ in chunks if pos < chunk] == starts
+    last = chunks[-1][1]
+    assert last == stop or chunks[-1][0] <= result.witness.bits < last
+    for pos, end, depth, cap in chunks:
+        exact_filter = math.comb(G.n, cap) <= domsearch._SUBSET_BUDGET
+        if pos == 1:  # a closed scan's wide first chunk
+            assert end == domsearch._CLOSED_FIRST
+        elif pos < chunk:  # growth 8 exactly when any rise must stop the scan
+            growth = domsearch._LAST_RISE_GROWTH if cap == ceiling - 1 and exact_filter else 2
+            assert end == min(stop, chunk, growth * pos)
+        else:
+            assert end == min(stop, pos + chunk)
+        grouped = exact_filter and end - pos >= domsearch._GROUP_MIN
+        assert depth == (_group_depth(end - pos) if grouped else 0)
+
+
 def _vector_only_scan(G, floor, ceiling):
     # _scan with no exact prefix: every mask goes through the numpy chunks, and
     # each filter survivor gets an exact gamma counted in exact_evals; the filter
     # needs an incumbent of at least 1, so below that every column survives
     n, best_val, best_mask, explored, exact_evals = G.n, floor - 1, -1, 0, 0
     first = domsearch._CLOSED_FIRST if floor == ceiling else 1
-    for pos, rows in _chunk_rows(n, G.edges, 1 << G.m, first):
+    for pos, rows, _ in _chunks(n, G.edges, 1 << G.m, 0, first):
         alive = range(rows.shape[1]) if best_val < 1 else _drop_covered(rows, n, best_val, G.edges)
         for offset in map(int, alive):
             out = rows[:, offset].tolist()
@@ -901,7 +978,7 @@ def test_exact_prefix_tallies_under_the_greedy_cover(G, expected, tallies, moved
     # masks do not beat the incumbent and count as filtered, as the cover drops them.
     # The tree (floor = ceiling = 7) does not rise at mask 0, which the cover keeps for
     # an exact gamma: a scan with no prefix counts it as an exact evaluation, the
-    # prefix as filtered, and the closed scan's first chunk does not evaluate it again
+    # prefix as filtered, and the closed scan's first chunk starts after it, at mask 1
     floor, _, _ = sandwich(G)
     assert math.comb(G.n, floor - 1) > domsearch._SUBSET_BUDGET
     result = dom(G)
@@ -925,7 +1002,7 @@ def test_row_dtype_boundaries(n, dtype):
     G = build_graph(n, [(v, n - 1) for v in range(min(n - 1, 22))])
     stop = 48
     reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], n)
-    for pos, rows in _chunk_rows(n, G.edges, stop):
+    for pos, rows, _ in _chunks(n, G.edges, stop):
         assert rows.dtype == dtype
         assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
 
@@ -968,7 +1045,7 @@ def test_gamma_cutoff_never_underestimates(bits):
 )
 def test_scan_in_rows_are_neighbours_minus_out_rows(G):
     # _scan reads each survivor's closed in-rows as adj & ~out | own bit: each edge is one arc
-    for pos, rows in _chunk_rows(G.n, G.edges, 1 << G.m):
+    for pos, rows, _ in _chunks(G.n, G.edges, 1 << G.m):
         for j, out in enumerate(rows.T.tolist()):
             D = Orientation(G, pos + j).to_digraph()
             into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(G.adj, out))]
