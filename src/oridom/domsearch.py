@@ -33,17 +33,16 @@ instead (then 64, 128, ... or, under the exact filter, 64, 512, 4096,
 that stops early builds few masks.
 
 Flipping edge (u, v) toggles bit v of row u and bit u of row v, since in
-a simple graph no other edge sets those bits. Under the exact filter, a
-chunk of _GROUP_MIN or more columns is built at its group depth d: cut
-into aligned groups of 8 masks, which differ only in their lowest 3
-edges, and again into groups of groups while each level stays at least
-_GROUP_MIN wide and a whole number of groups. Its rows hold one column
-per group of 8^d masks, the group's first mask with the arcs of
-edges[:3d] cleared: a subdigraph of every mask of the group. Each depth
-has its own row buffer (see _chunk_rows). The dtype is the narrowest
-unsigned type holding n bits (uint8 up to n = 8, then uint16, uint32,
-uint64). Masks that provably cannot beat the incumbent are discarded in
-bulk:
+a simple graph no other edge sets those bits. A chunk of _GROUP_MIN or
+more columns is built at its group depth d: cut into aligned groups of 8
+masks, which differ only in their lowest 3 edges, and again into groups
+of groups while each level stays at least _GROUP_MIN wide and a whole
+number of groups. Its rows hold one column per group of 8^d masks, the
+group's first mask with the arcs of edges[:3d] cleared: a subdigraph of
+every mask of the group. Each depth has its own row buffer (see
+_chunk_rows). The dtype is the narrowest unsigned type holding n bits
+(uint8 up to n = 8, then uint16, uint32, uint64). Masks that provably
+cannot beat the incumbent are discarded in bulk, by one of two tests:
 
   * dominating sets are upward closed, so gamma <= incumbent iff some
     vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
@@ -55,15 +54,17 @@ bulk:
     instead: V - T dominates iff every t in T has an in-neighbour outside
     T. Each edge the rows hold is exactly one arc, so t's open in-row is
     its neighbours along those edges minus its out-row, and a subset costs
-    n - incumbent row ANDs. Adding arcs never raises gamma, so a subset
-    dominating a group's column drops the whole group. The filter runs top
-    down: it tests the coarsest level, then expands each surviving group
-    8-fold by OR-ing in a per-level table of the arcs of its next 3 edges
-    under their 8 orientations (the reverse table for in-rows), tests
-    those, and so on down to single masks. Certified groups are never
-    built below their level;
+    n - incumbent row ANDs;
   * otherwise a vectorized greedy cover runs for `incumbent` rounds, which
     certifies gamma <= incumbent for everything it covers.
+
+Adding arcs never raises gamma, so a cover of a group's column, by
+either test, drops the whole group. Both tests run top down: the
+coarsest level first, then each surviving group expanded 8-fold by
+OR-ing in a per-level table of the arcs of its next 3 edges under their
+8 orientations (the reverse table for in-rows), tested in turn, and so
+on down to single masks. Certified groups are never built below their
+level.
 
 Survivors get an exact branch-and-bound gamma with the incumbent as
 cutoff, on closed out-rows built from their mask in Python, as the first
@@ -110,7 +111,7 @@ DEFAULT_EDGE_CAP = 22  # dom refuses larger graphs
 _CHUNK = 1 << 16
 _SUBSET_BUDGET = 800
 _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
-_GROUP_BITS = 3  # the exact filter certifies aligned groups of 1 << _GROUP_BITS columns
+_GROUP_BITS = 3  # the cover tests certify aligned groups of 1 << _GROUP_BITS columns
 _GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
 _CLOSED_FIRST = 64  # where the first chunk of a scan whose floor meets its ceiling ends
 _LAST_RISE_GROWTH = 8  # chunk growth below _CHUNK once the next rise must stop the scan
@@ -232,10 +233,10 @@ def _drop_covered(rows, n, cap, edges, tables=()):
     rows and tables are as the builder of _chunk_rows returns them: a chunk
     at group depth d = len(tables), whose columns hold only the arcs of
     edges[b d:] (b = _GROUP_BITS); the offsets are those of the chunk's own
-    masks. The exact filter tests the columns, expands each survivor
-    2^b-fold by OR-ing in tables[d - 1], tests those, and so on through
-    tables[0]; the greedy cover takes depth-0 chunks only. Needs cap >= 1:
-    _scan evaluates mask 0 exactly, and gamma >= 1 beats an incumbent of 0.
+    masks. The cover test, exact or greedy, tests the columns, expands each
+    survivor 2^b-fold by OR-ing in tables[d - 1], tests those, and so on
+    through tables[0]. Needs cap >= 1: _scan evaluates mask 0 exactly, and
+    gamma >= 1 beats an incumbent of 0.
     Does not write into rows.
     """
     full = rows.dtype.type((1 << n) - 1)
@@ -256,6 +257,7 @@ def _drop_covered(rows, n, cap, edges, tables=()):
                 adj[v] |= 1 << u
             rows = np.array(adj, dtype=rows.dtype)[:, None] & ~rows
             outside = _outside(n, size, rows.dtype)
+            tables = [table[..., ::-1] for table in tables]  # in-arcs: the complement's out-arcs
 
         def survive(rows, alive):  # (alive, rows) of the columns no cap-subset dominates
             start = 0
@@ -278,34 +280,32 @@ def _drop_covered(rows, n, cap, edges, tables=()):
                     alive = alive[keep]
                     rows = rows.compress(keep, axis=1)  # faster than rows[:, keep]
             return alive, rows
-
-        # a column is a subdigraph of every mask of its group, and adding arcs never
-        # raises gamma, so a subset dominating it drops the group; only the surviving
-        # groups are expanded, one level at a time
-        alive, rows = survive(rows, np.arange(rows.shape[1]))
-        for table in reversed(tables):
-            if not alive.size:
-                break
-            if dual:
-                table = table[..., ::-1]  # in-arcs: the out-arcs of the complement orientation
-            rows = (rows[:, :, None] | table).reshape(n, -1)
-            alive = (alive[:, None] << _GROUP_BITS | np.arange(table.shape[-1])).ravel()
-            alive, rows = survive(rows, alive)
     else:
-        # greedy cover for `cap` rounds; covered implies gamma <= cap
-        alive = np.arange(rows.shape[1])
-        cover = np.zeros(alive.size, dtype=rows.dtype)
-        for _ in range(cap):
-            if alive.size == 0:
-                break
-            gains = np.bitwise_count(rows & ~cover)
-            pick = np.argmax(gains, axis=0)
-            cover = cover | rows[pick, np.arange(alive.size)]
-            keep = cover != full
-            if not keep.all():
-                alive = alive[keep]
-                rows = rows.compress(keep, axis=1)
-                cover = cover[keep]
+        def survive(rows, alive):  # (alive, rows) of the columns `cap` greedy picks do not cover
+            cover = np.zeros(alive.size, dtype=rows.dtype)
+            for _ in range(cap):
+                if alive.size == 0:
+                    break
+                gains = np.bitwise_count(rows & ~cover)
+                pick = np.argmax(gains, axis=0)
+                cover = cover | rows[pick, np.arange(alive.size)]
+                keep = cover != full
+                if not keep.all():
+                    alive = alive[keep]
+                    rows = rows.compress(keep, axis=1)
+                    cover = cover[keep]
+            return alive, rows
+
+    # a column is a subdigraph of every mask of its group, and adding arcs never
+    # raises gamma, so a cover of the column drops the group; only the surviving
+    # groups are expanded, one level at a time
+    alive, rows = survive(rows, np.arange(rows.shape[1]))
+    for table in reversed(tables):
+        if not alive.size:
+            break
+        rows = (rows[:, :, None] | table).reshape(n, -1)
+        alive = (alive[:, None] << _GROUP_BITS | np.arange(table.shape[-1])).ravel()
+        alive, rows = survive(rows, alive)
     return alive
 
 
@@ -362,7 +362,7 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
                 end = min(stop, _CHUNK, max(growth * pos, _CLOSED_FIRST if closed else 0))
             else:
                 end = min(stop, pos + _CHUNK)
-            depth = _group_depth(end - pos) if exact_filter and end - pos >= _GROUP_MIN else 0
+            depth = _group_depth(end - pos)
             rows, tables = build(pos, end, depth)
             for offset in map(int, _drop_covered(rows, n, best_val, edges, tables)):
                 value = exact(pos + offset)

@@ -14,7 +14,6 @@ on the upper) so the interval can only widen.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .domsearch import Solver
@@ -85,12 +84,10 @@ def corona_dom(G: UndirectedGraph, H: UndirectedGraph, solver: Solver | None = N
 
 
 def tripartite_dom(n1: int, n2: int, n3: int) -> int:
-    """DOM of the complete tripartite graph on parts of the given sizes."""
+    """DOM of the complete tripartite graph on parts of the given sizes, in any order."""
     if min(n1, n2, n3) < 1:
         raise ValueError(f"part sizes must be positive: {(n1, n2, n3)}")
-    if not n1 <= n2 <= n3:
-        warnings.warn(f"part sizes {(n1, n2, n3)} not ascending; sorting", stacklevel=2)
-        n1, n2, n3 = sorted((n1, n2, n3))
+    n1, n2, n3 = sorted((n1, n2, n3))
     if n3 >= 3:
         return n3
     if (n1, n2, n3) == (2, 2, 2):

@@ -2,10 +2,11 @@
 
 gamma() is an exact set-cover style branch and bound over closed
 in-neighborhoods, run depth first on an explicit stack; only dom's scan sets
-the early-exit cutoff of its engine, calling _gamma_engine on the rows of
-its own chunk. rho() reduces maximum packing to maximum independent set on a
-conflict graph. dom_oracle() deliberately shares no code with the optimized
-search machinery: it tries every vertex subset in increasing size against a
+the early-exit cutoff of its engine, calling _gamma_engine on rows rebuilt
+in Python from each filter survivor's mask, not read off the chunk. rho()
+reduces maximum packing to maximum independent set on a conflict graph.
+dom_oracle() deliberately shares no code with the optimized search
+machinery: it tries every vertex subset in increasing size against a
 bit-sliced cover table, one big integer per ordered vertex pair with one bit
 per orientation bitmask, so each subset is tested on all orientations at
 once. It uses stdlib integers only and serves as ground truth.

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from oridom.domsearch import dom
@@ -62,8 +64,9 @@ def test_tripartite_examples():
     assert tripartite_dom(1, 2, 3) == 3
     assert tripartite_dom(1, 1, 1) == 2
     assert tripartite_dom(1, 1, 2) == 2
-    with pytest.warns(UserWarning, match="sorting"):
-        assert tripartite_dom(3, 2, 1) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any order, with no warning
+        assert tripartite_dom(3, 2, 1) == tripartite_dom(2, 1, 3) == 3
     with pytest.raises(ValueError):
         tripartite_dom(0, 1, 2)
 

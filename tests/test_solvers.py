@@ -524,17 +524,17 @@ def test_outside_is_read_only_in_the_row_dtype(n, dtype):
 
 @pytest.mark.parametrize(
     "group_min, budget",
-    [(8, domsearch._SUBSET_BUDGET), (1 << 30, domsearch._SUBSET_BUDGET), (1 << 30, 0)],
+    [(8, domsearch._SUBSET_BUDGET), (1 << 30, domsearch._SUBSET_BUDGET), (8, 0)],
     ids=["grouped", "columns", "greedy"],
 )
 def test_drop_covered_leaves_the_chunk_unchanged(group_min, budget, monkeypatch):
     # a chunk is a view of a row buffer whose columns later doublings read, so the
     # filter must not write into it; caps 1-3 walk subsets and cap 4 (2 cap > n)
-    # complements. Grouped chunks are built at their depth, under the exact filter
+    # complements. Grouped chunks are built at their depth, under either cover test
     G = multipartite(1, 2, 3)
     monkeypatch.setattr(domsearch, "_GROUP_MIN", group_min)
     monkeypatch.setattr(domsearch, "_SUBSET_BUDGET", budget)
-    for pos, rows, tables in _chunks(G.n, G.edges, 1 << G.m, schedule=[(2, budget > 0)]):
+    for pos, rows, tables in _chunks(G.n, G.edges, 1 << G.m, schedule=[(2, True)]):
         before = rows.tobytes()
         for cap in range(1, G.n - 1):
             _drop_covered(rows, G.n, cap, G.edges, tables)
@@ -592,6 +592,17 @@ def test_drop_covered_and_dom_do_not_depend_on_block_size(G):
         )
 
 
+def _assert_cover_keeps(alive, gammas, cap, exact):
+    # the exact filter keeps precisely the masks with gamma > cap; the greedy cover keeps
+    # all of them (in order), and every mask it drops has gamma <= cap
+    above = np.flatnonzero(gammas > cap)
+    if exact:
+        assert alive.tolist() == above.tolist()
+    else:
+        assert (np.diff(alive) > 0).all() and np.isin(above, alive).all()
+        assert (gammas[np.setdiff1d(np.arange(len(gammas)), alive)] <= cap).all()
+
+
 def _cleared(G, edges, dtype=np.uint8):
     # (n, 1) masks that clear the arcs of `edges` (a prefix of G's) from closed out-rows
     cleared = [(1 << G.n) - 1] * G.n
@@ -616,21 +627,25 @@ def _reference_tables(G, depth, bits):
 @settings(max_examples=15, deadline=None)
 def test_drop_covered_groups_keep_exactly_the_gamma_above_cap(G):
     # the whole space as one chunk at each depth: every (1 << bits d)-th mask with the
-    # arcs of the lowest bits * d edges cleared, up to groups of a single column
+    # arcs of the lowest bits * d edges cleared, up to groups of a single column. Budget
+    # 0 runs the greedy cover through the same levels: it keeps every mask with
+    # gamma > cap and drops only masks with gamma <= cap
     n, width = G.n, 1 << G.m
     digraphs = [Orientation(G, bits).to_digraph() for bits in range(width)]
     rows = _reference_rows(digraphs, n, np.uint8)  # chunked_graphs have n <= 8
     gammas = np.array([gamma(D).value for D in digraphs])
-    for bits in (1, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(domsearch, "_GROUP_BITS", bits)
-            for depth in range(G.m // bits + 1):
-                shift = bits * depth
-                grouped = rows[:, :: 1 << shift] & _cleared(G, G.edges[:shift])
-                tables = _reference_tables(G, depth, bits)
-                for cap in range(1, n - 1):
-                    alive = _drop_covered(grouped, n, cap, G.edges, tables)
-                    assert alive.tolist() == np.flatnonzero(gammas > cap).tolist()
+    for budget in (domsearch._SUBSET_BUDGET, 0):
+        for bits in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(domsearch, "_SUBSET_BUDGET", budget)
+                mp.setattr(domsearch, "_GROUP_BITS", bits)
+                for depth in range(G.m // bits + 1):
+                    shift = bits * depth
+                    grouped = rows[:, :: 1 << shift] & _cleared(G, G.edges[:shift])
+                    tables = _reference_tables(G, depth, bits)
+                    for cap in range(1, n - 1):
+                        alive = _drop_covered(grouped, n, cap, G.edges, tables)
+                        _assert_cover_keeps(alive, gammas, cap, exact=budget > 0)
 
 
 @st.composite
@@ -691,6 +706,21 @@ def test_dom_does_not_depend_on_grouping(G):
             assert (result.value, result.witness.bits, result.nodes_explored, result.pruned_by) == (
                 default.value, default.witness.bits, default.nodes_explored, default.pruned_by
             )
+    # under the greedy cover a mask survives only if its own row and its groups' columns
+    # do, so grouping can only lower exact_evals below the ungrouped scan's (the open
+    # prefix is 1 << bits masks, so each bits has its own ungrouped scan)
+    for bits in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(domsearch, "_SUBSET_BUDGET", 0)
+            mp.setattr(domsearch, "_GROUP_BITS", bits)
+            mp.setattr(domsearch, "_GROUP_MIN", 1 << 30)
+            flat = dom(G)
+            mp.setattr(domsearch, "_GROUP_MIN", 8)
+            result = dom(G)
+        assert (result.value, result.witness.bits, result.nodes_explored) == (
+            default.value, default.witness.bits, default.nodes_explored
+        )
+        assert result.pruned_by["exact_evals"] <= flat.pruned_by["exact_evals"]
 
 
 @given(st.one_of(chunked_graphs(), small_graphs()))
@@ -745,18 +775,20 @@ def test_drop_covered_at_depth_keeps_the_chunk_masks_with_gamma_above_cap(G, gro
     # every chunk the builder returns, at the depth it is built at, against the gamma of
     # each of its masks; _GROUP_MIN 8 groups chunks of 8 columns and more, and growth
     # 8 makes chunks 7 * 2^k wide. Caps on both sides of n / 2 walk subsets and
-    # complements
+    # complements; budget 0 runs the greedy cover at the same depths
     n = G.n
     gammas = np.array([gamma(Orientation(G, b).to_digraph()).value for b in range(1 << G.m)])
-    for bits in (1, 3):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(domsearch, "_GROUP_MIN", 8)
-            mp.setattr(domsearch, "_GROUP_BITS", bits)
-            for pos, rows, tables in _chunks(n, G.edges, 1 << G.m, schedule=[(growth, True)]):
-                chunk = gammas[pos : pos + (rows.shape[1] << bits * len(tables))]
-                for cap in range(1, n - 1):
-                    alive = _drop_covered(rows, n, cap, G.edges, tables)
-                    assert alive.tolist() == np.flatnonzero(chunk > cap).tolist()
+    for budget in (domsearch._SUBSET_BUDGET, 0):
+        for bits in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(domsearch, "_SUBSET_BUDGET", budget)
+                mp.setattr(domsearch, "_GROUP_MIN", 8)
+                mp.setattr(domsearch, "_GROUP_BITS", bits)
+                for pos, rows, tables in _chunks(n, G.edges, 1 << G.m, schedule=[(growth, True)]):
+                    chunk = gammas[pos : pos + (rows.shape[1] << bits * len(tables))]
+                    for cap in range(1, n - 1):
+                        alive = _drop_covered(rows, n, cap, G.edges, tables)
+                        _assert_cover_keeps(alive, chunk, cap, exact=budget > 0)
 
 
 @pytest.mark.parametrize(
@@ -784,11 +816,14 @@ def test_dom_values_witnesses_and_counters_are_pinned(G, expected, exact_evals):
         (complete(8), (3, 600626, 268435456), (268435453, 3, 0)),
         (multipartite(1, 1, 1, 1, 2, 2), (3, 338609, 67108864), (67108862, 2, 0)),
         (multipartite(3, 3, 3), (3, 0, 134217728), (134217727, 1, 0)),
+        (cartesian(multipartite(1, 3), multipartite(1, 3)), (10, 7190208, 7190209), (7190208, 1, 1)),
     ],
-    ids=["K_8", "K_1,1,1,1,2,2", "K_3,3,3"],
+    ids=["K_8", "K_1,1,1,1,2,2", "K_3,3,3", "K_1,3xK_1,3"],
 )
 def test_dom_past_the_edge_cap_is_pinned(G, expected, tallies):
-    # full scans of 2^26-2^28 masks, almost all certified at their coarsest group level
+    # full scans of 2^26-2^28 masks, almost all certified at their coarsest group level;
+    # K_1,3xK_1,3 (C(16, 9) = 11,440 cap-subsets, so the greedy cover) stops at the
+    # ceiling, with every mask before its witness certified in groups
     result = dom(G, max_edges=28)
     assert (result.value, result.witness.bits, result.nodes_explored) == expected
     tally = result.pruned_by
@@ -797,16 +832,21 @@ def test_dom_past_the_edge_cap_is_pinned(G, expected, tallies):
 
 def test_grouped_scan_builds_no_full_width_rows():
     # K_1,18's chunks from 512 on are grouped, so no buffer reaches the 65,536 columns
-    # of 19 uint32 rows (5 MB) that a full-width row buffer takes
-    G = multipartite(1, 18)
-    dom(G)  # the subset tables are cached
-    tracemalloc.start()
-    try:
-        dom(G)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
+    # of 19 uint32 rows (5 MB) that a full-width row buffer takes; K_1,3xK_1,3's wide
+    # chunks are grouped under the greedy cover, which certifies them at their
+    # coarsest level (16 uint16 rows of 65,536 columns take 2 MB)
+    for G, max_edges in [
+        (multipartite(1, 18), domsearch.DEFAULT_EDGE_CAP),
+        (cartesian(multipartite(1, 3), multipartite(1, 3)), 28),
+    ]:
+        dom(G, max_edges)  # the subset tables are cached
+        tracemalloc.start()
+        try:
+            dom(G, max_edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 @pytest.mark.parametrize(
@@ -854,7 +894,8 @@ def test_scan_sets_the_chunk_schedule(G, budget, starts, monkeypatch):
     # K_1,18 and K_2,2,4 are closed scans at growth 8 from mask 1 on, K_3xK_3 switches
     # to growth 8 at 2,048 after its rise to 4 at mask 1,322, and K_7 reaches
     # ceiling - 1 = 3 only after _CHUNK. Under the greedy cover (budget 0) no chunk
-    # grows 8-fold or is grouped
+    # grows 8-fold, and chunks of _GROUP_MIN columns or more are grouped as under the
+    # exact filter
     real_rows, real_drop, chunks = domsearch._chunk_rows, domsearch._drop_covered, []
 
     def recording(n, edges, stop):
@@ -891,8 +932,7 @@ def test_scan_sets_the_chunk_schedule(G, budget, starts, monkeypatch):
             assert end == min(stop, chunk, growth * pos)
         else:
             assert end == min(stop, pos + chunk)
-        grouped = exact_filter and end - pos >= domsearch._GROUP_MIN
-        assert depth == (_group_depth(end - pos) if grouped else 0)
+        assert depth == (_group_depth(end - pos) if end - pos >= domsearch._GROUP_MIN else 0)
 
 
 def _vector_only_scan(G, floor, ceiling):
