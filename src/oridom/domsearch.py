@@ -23,26 +23,29 @@ alone when floor meets ceiling, get an exact gamma in Python, and the
 chunks start after this exact prefix: on so few masks numpy's fixed cost
 outweighs the exact work. One counts as an exact evaluation iff it beats
 the incumbent (what the exact filter passes), else as vector-filtered.
-Below _CHUNK, a chunk starting at pos ends at 2 pos, or at 8 pos
-(_LAST_RISE_GROWTH) once the incumbent is ceiling - 1 and the exact
-filter runs at it, capped at _CHUNK; from _CHUNK on chunks are _CHUNK
-wide. An open scan's chunks start at 8 (8, 16, 32, ...); a scan whose
-floor meets its ceiling has a first chunk [1, _CLOSED_FIRST) = [1, 64)
-instead (then 64, 128, ... or, under the exact filter, 64, 512, 4096,
-...). Every later chunk start below _CHUNK is a power of two, and a scan
-that stops early builds few masks.
+A chunk starting at pos ends at 2 pos, or at 8 pos (_LAST_RISE_GROWTH)
+once the incumbent is ceiling - 1 and the exact filter runs at it,
+capped at the next multiple of _CHUNK, so from _CHUNK on chunks are
+_CHUNK wide. An open scan's chunks start at 8 (8, 16, 32, ...); a scan
+whose floor meets its ceiling has a first chunk [1, _CLOSED_FIRST) =
+[1, 64) instead (then 64, 128, ... or, under the exact filter, 64, 512,
+4096, ...). Every later chunk start below _CHUNK is a power of two, and
+a scan that stops early builds few masks.
 
 Flipping edge (u, v) toggles bit v of row u and bit u of row v, since in
-a simple graph no other edge sets those bits. A chunk of _GROUP_MIN or
-more columns is built at its group depth d: cut into aligned groups of 8
-masks, which differ only in their lowest 3 edges, and again into groups
-of groups while each level stays at least _GROUP_MIN wide and a whole
-number of groups. Its rows hold one column per group of 8^d masks, the
-group's first mask with the arcs of edges[:3d] cleared: a subdigraph of
-every mask of the group. Each depth has its own row buffer (see
-_chunk_rows). The dtype is the narrowest unsigned type holding n bits
-(uint8 up to n = 8, then uint16, uint32, uint64). Masks that provably
-cannot beat the incumbent are discarded in bulk, by one of two tests:
+a simple graph no other edge sets those bits, so flips compose by XOR: a
+chunk in the aligned block [h, h + _CHUNK) is the same chunk of block 0
+with the edges set in h flipped. A chunk of _GROUP_MIN or more columns
+is built at its group depth d: cut into aligned groups of 8 masks, which
+differ only in their lowest 3 edges, and again into groups of groups
+while each level stays at least _GROUP_MIN wide and a whole number of
+groups. Its rows hold one column per group of 8^d masks, the group's
+first mask with the arcs of edges[:3d] cleared: a subdigraph of every
+mask of the group. Each depth has its own row buffer of block 0, filled
+from mask 0 and never rewritten (see _chunk_rows). The dtype is the
+narrowest unsigned type holding n bits (uint8 up to n = 8, then uint16,
+uint32, uint64). Masks that provably cannot beat the incumbent are
+discarded in bulk, by one of two tests:
 
   * dominating sets are upward closed, so gamma <= incumbent iff some
     vertex subset of size exactly `incumbent` dominates; when C(n, incumbent)
@@ -136,19 +139,19 @@ def _chunk_rows(n, edges, stop):
     edges[b k : b (k + 1)] under each of their 2^b orientations. At depth 0
     there are no tables.
 
-    Chunks are asked for in increasing order. pos and end are multiples of
-    2^(b d), a chunk below _CHUNK ends at or before _CHUNK, and a chunk
-    from _CHUNK on starts at a multiple of _CHUNK and is at most _CHUNK wide.
+    Chunks are asked for in increasing order, pos and end are multiples of
+    2^(b d), and no chunk crosses a multiple of _CHUNK.
 
-    rows is a view of its depth's buffer, overwritten by a later call. A
-    buffer is allocated when a chunk first needs it, _GROUP_MIN columns or
-    more (at most the widest chunk's width >> b d), and grown by copying.
-    Below _CHUNK its column j holds mask j << b d; it starts from mask 0, or
-    from every 2^b-th column the depth below has filled, and doubles by one
-    XOR of columns [0, f) with the bits of edge b d + log2(f) into columns
-    [f, 2f). From _CHUNK on it is full, column j holds mask base ^ j << b d,
-    and it is rebased to each chunk start by flipping the edges set in
-    base ^ start on their two rows. The tables are built once, at the first
+    Each depth has one buffer, allocated when a chunk first needs it,
+    _GROUP_MIN columns or more (at most the widest chunk's width >> b d),
+    and grown by copying. Its column j holds mask j << b d. It starts from
+    mask 0, or from every 2^b-th column the depth below has filled, and
+    doubles by one XOR of columns [0, f) with the bits of edge b d + log2(f)
+    into columns [f, 2f); a filled column is never written again. A chunk
+    below _CHUNK is a view of the buffer, so callers do not write into
+    rows. Mask h + j is h ^ j for h a multiple of _CHUNK and j < _CHUNK, so
+    a chunk of the block starting at h > 0 is the same columns XOR-ed with
+    the bits of the edges set in h. The tables are built once, at the first
     grouped chunk.
     """
     word = np.min_scalar_type((1 << n) - 1).type  # narrowest unsigned type holding n bits
@@ -159,7 +162,7 @@ def _chunk_rows(n, edges, stop):
         out[u] |= 1 << v
         delta[e, u], delta[e, v] = 1 << v, 1 << u
     out = np.array(out, dtype=word)[:, None]
-    buffers, tables = {}, None  # depth -> (rows, filled columns, base)
+    buffers, tables = {}, None  # depth -> (rows, filled columns)
 
     def build(pos, end, depth):
         nonlocal tables
@@ -171,17 +174,17 @@ def _chunk_rows(n, edges, stop):
                 tables = np.concatenate((tables, tables ^ arcs[:, i]), axis=2)
             tables = tables[:, :, None]
         shift = _GROUP_BITS * depth
-        # the buffer doubles, so it fills a power of two of columns
-        need = 1 << (((end if pos < _CHUNK else width) >> shift) - 1).bit_length()
-        rows, filled, base = buffers.get(depth, (None, 0, 0))
+        high = pos & -_CHUNK  # mask high + j is high ^ j for j < _CHUNK
+        left, right = (pos - high) >> shift, (end - high) >> shift
+        need = 1 << (right - 1).bit_length()  # the buffer doubles, so it fills a power of two of columns
+        rows, filled = buffers.get(depth, (None, 0))
         if rows is None or rows.shape[1] < need:
             grown = np.empty((n, min(width >> shift, max(need, _GROUP_MIN))), dtype=word)
             if rows is not None:
                 grown[:, :filled] = rows[:, :filled]
             else:
-                finer, finer_filled, finer_base = buffers.get(depth - 1, (None, 0, 0))
-                # at most need, as the depth below ends at pos
-                filled = 0 if finer_base else finer_filled >> _GROUP_BITS
+                finer, finer_filled = buffers.get(depth - 1, (None, 0))
+                filled = min(need, finer_filled >> _GROUP_BITS)
                 if filled:  # every group's first column one level down, without its level's arcs
                     step = 1 << _GROUP_BITS
                     grown[:, :filled] = finer[:, : filled * step : step] ^ tables[depth - 1, :, :, 0]
@@ -191,20 +194,14 @@ def _chunk_rows(n, edges, stop):
                         grown[:, :1] ^= np.bitwise_or.reduce(tables[:depth, :, :, 0], axis=0)
                     filled = 1
             rows = grown
-        while filled < need:  # only at base 0: a rebased buffer is full
+        while filled < need:
             flip = delta[shift + filled.bit_length() - 1]
             np.bitwise_xor(rows[:, :filled], flip, out=rows[:, filled : 2 * filled])
             filled *= 2
-        if pos < _CHUNK:
-            chunk = rows[:, pos >> shift : end >> shift]
-        else:
-            for e in _iter_bits(base ^ pos):
-                u, v = edges[e]
-                rows[u] ^= word(1 << v)
-                rows[v] ^= word(1 << u)
-            base = pos
-            chunk = rows[:, : (end - pos) >> shift]
-        buffers[depth] = rows, filled, base
+        buffers[depth] = rows, filled
+        chunk = rows[:, left:right]
+        if high:  # flip the edges set in high, all above the chunk's own
+            chunk = chunk ^ np.bitwise_xor.reduce(delta[list(_iter_bits(high))], axis=0)
         return chunk, tables[:depth] if depth else ()
 
     return build
@@ -339,7 +336,7 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
 
     # the exact prefix, in Python
     closed = floor == ceiling
-    prefix = min(stop, 1 if closed else 1 << _GROUP_BITS)
+    prefix = min(stop, 1 if closed else 8)
     mask = 0
     while mask < prefix and best_val < ceiling:
         value = exact(mask)
@@ -354,14 +351,11 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
         pos = prefix
         while pos < stop and best_val < ceiling:
             exact_filter = math.comb(n, best_val) <= _SUBSET_BUDGET
-            if pos < _CHUNK:
-                # at ceiling - 1 any rise stops the scan, at its first exact survivor. A
-                # closed sandwich has one possible rise, to the ceiling, and it stops the
-                # scan; with no one-rise break to protect, its first chunk can be wide
-                growth = _LAST_RISE_GROWTH if best_val == ceiling - 1 and exact_filter else 2
-                end = min(stop, _CHUNK, max(growth * pos, _CLOSED_FIRST if closed else 0))
-            else:
-                end = min(stop, pos + _CHUNK)
+            # at ceiling - 1 any rise stops the scan, at its first exact survivor. A
+            # closed sandwich has one possible rise, to the ceiling, and it stops the
+            # scan; with no one-rise break to protect, its first chunk can be wide
+            growth = _LAST_RISE_GROWTH if best_val == ceiling - 1 and exact_filter else 2
+            end = min(stop, (pos & -_CHUNK) + _CHUNK, max(growth * pos, _CLOSED_FIRST if closed else 0))
             depth = _group_depth(end - pos)
             rows, tables = build(pos, end, depth)
             for offset in map(int, _drop_covered(rows, n, best_val, edges, tables)):

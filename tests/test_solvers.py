@@ -389,18 +389,15 @@ def _reference_rows(digraphs, n, dtype=np.uint64):
 
 
 def _chunks(n, edges, stop, start=0, first=1, schedule=((2, False),)):
-    # yield (pos, rows, tables) for the chunks of [start, stop) on _scan's rule: below
-    # _CHUNK a chunk at pos ends at max(growth * pos, first), capped at _CHUNK, and a
-    # grouped chunk of _GROUP_MIN or more columns is built at its group depth; each
+    # yield (pos, rows, tables) for the chunks of [start, stop) on _scan's rule: a chunk
+    # at pos ends at max(growth * pos, first), capped at the next multiple of _CHUNK, and
+    # a grouped chunk of _GROUP_MIN or more columns is built at its group depth; each
     # chunk's (growth, grouped) is taken in turn from schedule, cycled
-    build, pos = _chunk_rows(n, edges, stop), start
+    build, pos, chunk = _chunk_rows(n, edges, stop), start, domsearch._CHUNK
     for growth, grouped in itertools.cycle(schedule):
         if pos >= stop:
             return
-        if pos < domsearch._CHUNK:
-            end = min(stop, domsearch._CHUNK, max(growth * pos, first))
-        else:
-            end = min(stop, pos + domsearch._CHUNK)
+        end = min(stop, (pos & -chunk) + chunk, max(growth * pos, first))
         depth = _group_depth(end - pos) if grouped and end - pos >= domsearch._GROUP_MIN else 0
         yield (pos, *build(pos, end, depth))
         pos = end
@@ -417,8 +414,8 @@ def small_graphs(draw):
 @given(small_graphs())
 @settings(max_examples=40, deadline=None)
 def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
-    # narrow chunks grow and rebase the row buffer many times, with rebases
-    # that flip several edges at once (pos 8 -> 16 flips edges 3 and 4)
+    # at _CHUNK 1 to 8 most chunks lie past _CHUNK, each XOR-ed from the mask-0 buffer
+    # with the edges set in its block's start, often several (block 24 flips edges 3, 4)
     stop = 1 << G.m
     reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
     default = dom(G)
@@ -444,20 +441,24 @@ def test_chunk_rows_and_dom_do_not_depend_on_chunk_width(G):
 @pytest.mark.parametrize("stop", [100, 1 << 10])
 def test_chunk_rows_grow_then_rebase(chunk, first, stop, monkeypatch):
     # chunks from mask 0, the first ending at `first`: below _CHUNK the buffer
-    # doubles and a chunk at pos ends at growth * pos; _CHUNK 8 and 16 hand over
-    # to the rebased buffer, inside the first wide chunk [0, _CLOSED_FIRST);
-    # stop 100 ends in a part chunk on either path
+    # doubles and a chunk at pos ends at growth * pos; at _CHUNK 8 and 16 the
+    # blocks past the first, inside the first wide chunk [0, _CLOSED_FIRST), are
+    # XOR-ed from the same buffer; stop 100 ends in a part chunk on either path.
+    # Every chunk is re-checked after the last build: no later build writes into it
     G = complete(5)
     reference = _reference_rows([Orientation(G, bits).to_digraph() for bits in range(stop)], G.n)
     monkeypatch.setattr(domsearch, "_CHUNK", chunk)
     for growth in (2, domsearch._LAST_RISE_GROWTH):
-        covered = 0
+        covered, kept = 0, []
         for pos, rows, _ in _chunks(G.n, G.edges, stop, 0, first, [(growth, False)]):
             end = pos + chunk if pos >= chunk else min(chunk, max(growth * pos, first))
             assert pos == covered and rows.shape[1] == min(stop, end) - pos
             assert rows.dtype == np.uint8 and np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
             covered += rows.shape[1]
+            kept.append((pos, rows))
         assert covered == stop
+        for pos, rows in kept:
+            assert np.array_equal(rows, reference[:, pos : pos + rows.shape[1]])
 
 
 def test_chunk_rows_last_rise_growth_bounds():
@@ -665,7 +666,7 @@ def test_chunk_rows_build_grouped_chunks_at_their_depth(G, schedule):
     # is every (1 << bits d)-th column of the reference with the arcs of edges[:bits d]
     # cleared, and its tables hold the arcs of each level's edges. The drawn schedule
     # switches chunks between growths and depths, below _CHUNK and from it on, so the
-    # buffers of several depths grow, seed one another and rebase in turn
+    # buffers of several depths grow and seed one another, and later blocks XOR them
     start, first, steps = schedule
     n, stop = G.n, 1 << G.m
     reference = _reference_rows([Orientation(G, b).to_digraph() for b in range(stop)], n, np.uint8)
@@ -694,6 +695,7 @@ def test_chunk_rows_build_grouped_chunks_at_their_depth(G, schedule):
 
 
 @given(chunked_graphs())
+@example(build_graph(8, [(0, 5), (0, 6), (0, 7), (1, 3), (1, 5), (3, 7), (4, 5), (4, 6), (5, 6)]))
 @settings(max_examples=15, deadline=None)
 def test_dom_does_not_depend_on_grouping(G):
     default = dom(G)
@@ -707,8 +709,10 @@ def test_dom_does_not_depend_on_grouping(G):
                 default.value, default.witness.bits, default.nodes_explored, default.pruned_by
             )
     # under the greedy cover a mask survives only if its own row and its groups' columns
-    # do, so grouping can only lower exact_evals below the ungrouped scan's (the open
-    # prefix is 1 << bits masks, so each bits has its own ungrouped scan)
+    # do, so grouping can only lower exact_evals below the ungrouped scan's. The open
+    # prefix is [0, 8) whatever the group size, so the ungrouped scans of both bits agree
+    # (on the example a prefix of [0, 2) at bits 1 would cost 2 more exact_evals)
+    flats = []
     for bits in (1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(domsearch, "_SUBSET_BUDGET", 0)
@@ -721,6 +725,8 @@ def test_dom_does_not_depend_on_grouping(G):
             default.value, default.witness.bits, default.nodes_explored
         )
         assert result.pruned_by["exact_evals"] <= flat.pruned_by["exact_evals"]
+        flats.append((flat.value, flat.witness.bits, flat.nodes_explored, flat.pruned_by))
+    assert flats[0] == flats[1]
 
 
 @given(st.one_of(chunked_graphs(), small_graphs()))
