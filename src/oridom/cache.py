@@ -7,12 +7,13 @@ fatal. The file is read as bytes, and only LF (or CR LF) ends a line: a
 line holding any other CR, or a byte that is not ASCII, is corrupt as a
 whole.
 
-Lookups are answered from an in-process index of the whole file. The index
-is trusted while the file's device, inode, size and modification time are
-unchanged; any other state of the file is read again in full, so a corrupt
-line warns once each time a changed file is re-read, not on every lookup.
-oridom's writers only append, and every append changes the size: a store
-is one binary append, checked by ``os.fstat`` on its own handle.
+Lookups are answered from an in-process index of the whole file, with one
+``os.stat`` of the file name each. The index is trusted while the file's
+device, inode, size, modification time and change time are unchanged; any
+other state of the file is read again in full, so a corrupt line warns once
+each time a changed file is re-read, not on every lookup. oridom's writers
+only append, and every append changes the size: a store is one binary append,
+checked by ``os.fstat`` on its own handle.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .graphs import UndirectedGraph
 CACHE_ENV = "ORIDOM_CACHE_DIR"
 _FILENAME = "dom-cache.tsv"
 
-# (path, signature, {(key, version): value}) of the last file read. It is held
-# by the module because the CLI makes a new DomCache for every command.
-_index: tuple[Path, tuple[int, int, int, int], dict[tuple[str, str], int]] | None = None
+# (file name, signature, {(key, version): value}) of the last file read. It is
+# held by the module because the CLI makes a new DomCache for every command.
+# Two spellings of one file are two keys: the second one reads the file again.
+_index: tuple[str, tuple[int, ...], dict[tuple[str, str], int]] | None = None
 
 
 def default_cache_dir() -> Path:
@@ -46,9 +48,12 @@ def graph_key(G: UndirectedGraph) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
-    """The file's (device, inode, size, mtime_ns)."""
-    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+def _signature(st: os.stat_result) -> tuple[int, ...]:
+    """The file's (device, inode, size, mtime_ns, ctime_ns).
+
+    The change time catches a same-size rewrite whose mtime is put back (as
+    ``cp -p`` or ``touch -r`` do): every write sets it, and no program can."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 def _read_index(path: Path) -> dict[tuple[str, str], int]:
@@ -74,9 +79,18 @@ def _read_index(path: Path) -> dict[tuple[str, str], int]:
 
 class DomCache:
     def __init__(self, directory: str | Path | None = None):
-        self.directory = Path(directory) if directory else default_cache_dir()
-        self.path = self.directory / _FILENAME
+        # a string, stat-ed by every command; the Paths below are built on demand
+        self._file = os.path.join(directory or default_cache_dir(), _FILENAME)
+        self.file_found = False  # whether the last lookup found the cache file
         self._keyed = None  # (graph, graph_key(graph)) for the last graph keyed
+
+    @property
+    def path(self) -> Path:
+        return Path(self._file)
+
+    @property
+    def directory(self) -> Path:
+        return self.path.parent
 
     def _key(self, G: UndirectedGraph) -> str:
         if self._keyed is None or self._keyed[0] is not G:
@@ -88,11 +102,13 @@ class DomCache:
         # stat before reading: a line appended in between leaves the index
         # with an older signature, so the next lookup reads the file again
         try:
-            signature = _signature(os.stat(self.path))
+            signature = _signature(os.stat(self._file))
         except (FileNotFoundError, NotADirectoryError):
+            self.file_found = False
             return None
-        if _index is None or _index[:2] != (self.path, signature):
-            _index = (self.path, signature, _read_index(self.path))
+        self.file_found = True
+        if _index is None or _index[:2] != (self._file, signature):
+            _index = (self._file, signature, _read_index(self.path))
         return _index[2].get((self._key(G), SOLVER_VERSION))
 
     def store(self, G: UndirectedGraph, value: int) -> None:
@@ -100,10 +116,10 @@ class DomCache:
         key = self._key(G)
         line = f"{key}\t{value}\t{SOLVER_VERSION}\n".encode("ascii")
         try:
-            handle = open(self.path, "ab")
+            handle = open(self._file, "ab")
         except FileNotFoundError:  # the first store into a missing directory
             self.directory.mkdir(parents=True, exist_ok=True)
-            handle = open(self.path, "ab")
+            handle = open(self._file, "ab")
         with handle:
             before = _signature(os.fstat(handle.fileno()))
             handle.write(line)
@@ -113,10 +129,10 @@ class DomCache:
         # and nothing else wrote to it; otherwise the next lookup reads it again
         if (
             _index is not None
-            and _index[:2] == (self.path, before)
+            and _index[:2] == (self._file, before)
             and after[2] == before[2] + len(line)
         ):
             _index[2][key, SOLVER_VERSION] = value
-            _index = (self.path, after, _index[2])
+            _index = (self._file, after, _index[2])
         else:
             _index = None

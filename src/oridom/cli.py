@@ -142,7 +142,7 @@ def _cmd_dom(args) -> int:
         print("witness cached")
         print("explored 0")
         return 0
-    if cache and not cache.path.exists():  # so an unusable cache directory fails before the scan
+    if cache and not cache.file_found:  # so an unusable cache directory fails before the scan
         cache.directory.mkdir(parents=True, exist_ok=True)
     result = Solver(args.max_edges).dom(graph)
     if cache:  # before any print, so a failed append prints no result

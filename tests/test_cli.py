@@ -660,7 +660,8 @@ def test_cache_index_sees_every_change_to_the_file(tmp_path):
     cache.store(G, 2)
     assert cache.lookup(G) == 2 and cache.lookup(H) is None
     # the modification time is put back each time, as on a file system with a
-    # coarse clock, so only the size tells the index that the file changed
+    # coarse clock or by cp -p, touch -r or os.utime, so it tells the index
+    # nothing: the size does, and for a same-size rewrite the change time
     mtime = cache.path.stat().st_mtime_ns
     with open(cache.path, "a", encoding="utf-8") as handle:  # not through store
         handle.write(_line(H, 3))
@@ -670,6 +671,14 @@ def test_cache_index_sees_every_change_to_the_file(tmp_path):
         handle.write(_line(G, 12) + _line(H, 3))
     os.utime(cache.path, ns=(mtime, mtime))
     assert cache.lookup(G) == 12
+    ctime = cache.path.stat().st_ctime_ns
+    for _ in range(10_000):  # the clock that stamps the change time may be coarse
+        with open(cache.path, "w", encoding="utf-8") as handle:  # same inode and length
+            handle.write(_line(G, 12) + _line(H, 2))
+        os.utime(cache.path, ns=(mtime, mtime))
+        if cache.path.stat().st_ctime_ns != ctime:
+            break
+    assert DomCache(tmp_path).lookup(H) == 2
     cache.path.unlink()
     assert cache.lookup(G) is None and cache.lookup(H) is None
 
@@ -746,6 +755,48 @@ def test_dom_miss_into_an_existing_cache_file_makes_no_directory(tmp_path, capsy
     assert sorted(os.listdir(cache.directory)) == listing
     assert cache.directory.stat().st_mtime_ns == mtime
     assert cache.lookup(cycle(5)) == 3 and cache.lookup(path(3)) == 2
+
+
+def test_dom_hit_and_miss_stat_the_cache_file_once_and_build_no_path(tmp_path, capsys, monkeypatch):
+    hit, miss = tmp_path / "hit.ug", tmp_path / "miss.ug"
+    hit.write_text(format_graph(cycle(5)), encoding="utf-8")
+    miss.write_text(format_graph(path(4)), encoding="utf-8")
+    cache = DomCache(tmp_path / "cache")
+    cache.store(cycle(5), 3)
+    assert cache.lookup(cycle(5)) == 3  # the index is warm
+    name, stat, stats = str(cache.path), os.stat, []
+
+    def counting_stat(file, *args, **kwargs):
+        stats.append(str(file) == name)
+        return stat(file, *args, **kwargs)
+
+    def no_path(*args):
+        raise AssertionError(f"Path{args}")
+
+    monkeypatch.setattr(cache_mod.os, "stat", counting_stat)
+    monkeypatch.setattr(cache_mod, "Path", no_path)
+    for graph_file, out in ((hit, "value 3\nwitness cached\nexplored 0\n"), (miss, "value 2\n")):
+        stats.clear()
+        assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert capsys.readouterr().out.startswith(out)
+        assert stats.count(True) == 1
+    monkeypatch.undo()
+    assert cache.lookup(path(4)) == 2
+    assert cache.path.read_text(encoding="ascii") == _line(cycle(5), 3) + _line(path(4), 2)
+
+
+def test_two_spellings_of_one_cache_directory_answer_from_its_file(tmp_path):
+    directory = tmp_path / "cache"
+    directory.mkdir()
+    (tmp_path / "link").symlink_to(directory)
+    spellings = [DomCache(directory), DomCache(f"{directory}/."), DomCache(tmp_path / "link")]
+    G, H = path(3), path(4)
+    for value in range(1, 10):
+        spellings[value % 3].store(G, value)
+        spellings[(value + 1) % 3].store(H, value + 1)
+        for cache in spellings:
+            assert cache.lookup(G) == value and cache.lookup(H) == value + 1
+    assert len(directory.joinpath(cache_mod._FILENAME).read_text(encoding="ascii").splitlines()) == 18
 
 
 def test_cache_corrupt_line_after_warm_index_warns_once_per_read(tmp_path):
