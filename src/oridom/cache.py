@@ -7,6 +7,10 @@ fatal. The file is read as bytes, and only LF (or CR LF) ends a line: a
 line holding any other CR, or a byte that is not ASCII, is corrupt as a
 whole.
 
+A DomCache is two strings, its directory and its file name, and keeps no
+per-graph state. The lookup that finds no cache file makes the directory, so
+an unusable one fails before any scan; a store makes it again if it is gone.
+
 Lookups are answered from an in-process index of the whole file, with one
 ``os.stat`` of the file name each. The index is trusted while the file's
 device, inode, size, modification time and change time are unchanged; any
@@ -21,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import os
 import warnings
-from pathlib import Path
 
 from .domsearch import SOLVER_VERSION
 from .exprs import parse_int
@@ -36,11 +39,9 @@ _FILENAME = "dom-cache.tsv"
 _index: tuple[str, tuple[int, ...], dict[tuple[str, str], int]] | None = None
 
 
-def default_cache_dir() -> Path:
-    override = os.environ.get(CACHE_ENV)
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "oridom"
+def default_cache_dir() -> str:
+    # an empty override means unset
+    return os.environ.get(CACHE_ENV) or os.path.join(os.path.expanduser("~"), ".cache", "oridom")
 
 
 def graph_key(G: UndirectedGraph) -> str:
@@ -56,7 +57,7 @@ def _signature(st: os.stat_result) -> tuple[int, ...]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def _read_index(path: Path) -> dict[tuple[str, str], int]:
+def _read_index(path: str) -> dict[tuple[str, str], int]:
     index = {}
     # a byte that is not UTF-8 decodes to a lone surrogate, so its line is
     # not ASCII and is skipped like any other corrupt line
@@ -78,48 +79,32 @@ def _read_index(path: Path) -> dict[tuple[str, str], int]:
 
 
 class DomCache:
-    def __init__(self, directory: str | Path | None = None):
-        # a string, stat-ed by every command; the Paths below are built on demand
-        self._file = os.path.join(directory or default_cache_dir(), _FILENAME)
-        self.file_found = False  # whether the last lookup found the cache file
-        self._keyed = None  # (graph, graph_key(graph)) for the last graph keyed
-
-    @property
-    def path(self) -> Path:
-        return Path(self._file)
-
-    @property
-    def directory(self) -> Path:
-        return self.path.parent
-
-    def _key(self, G: UndirectedGraph) -> str:
-        if self._keyed is None or self._keyed[0] is not G:
-            self._keyed = (G, graph_key(G))
-        return self._keyed[1]
+    def __init__(self, directory: str | os.PathLike | None = None):
+        self.directory = os.fspath(directory or default_cache_dir())
+        self.path = os.path.join(self.directory, _FILENAME)
 
     def lookup(self, G: UndirectedGraph) -> int | None:
         global _index
         # stat before reading: a line appended in between leaves the index
         # with an older signature, so the next lookup reads the file again
         try:
-            signature = _signature(os.stat(self._file))
+            signature = _signature(os.stat(self.path))
         except (FileNotFoundError, NotADirectoryError):
-            self.file_found = False
+            os.makedirs(self.directory, exist_ok=True)  # an unusable directory fails here
             return None
-        self.file_found = True
-        if _index is None or _index[:2] != (self._file, signature):
-            _index = (self._file, signature, _read_index(self.path))
-        return _index[2].get((self._key(G), SOLVER_VERSION))
+        if _index is None or _index[:2] != (self.path, signature):
+            _index = (self.path, signature, _read_index(self.path))
+        return _index[2].get((graph_key(G), SOLVER_VERSION))
 
     def store(self, G: UndirectedGraph, value: int) -> None:
         global _index
-        key = self._key(G)
+        key = graph_key(G)
         line = f"{key}\t{value}\t{SOLVER_VERSION}\n".encode("ascii")
         try:
-            handle = open(self._file, "ab")
-        except FileNotFoundError:  # the first store into a missing directory
-            self.directory.mkdir(parents=True, exist_ok=True)
-            handle = open(self._file, "ab")
+            handle = open(self.path, "ab")
+        except FileNotFoundError:  # the directory was removed since the lookup, or never made
+            os.makedirs(self.directory, exist_ok=True)
+            handle = open(self.path, "ab")
         with handle:
             before = _signature(os.fstat(handle.fileno()))
             handle.write(line)
@@ -129,10 +114,10 @@ class DomCache:
         # and nothing else wrote to it; otherwise the next lookup reads it again
         if (
             _index is not None
-            and _index[:2] == (self._file, before)
+            and _index[:2] == (self.path, before)
             and after[2] == before[2] + len(line)
         ):
             _index[2][key, SOLVER_VERSION] = value
-            _index = (self._file, after, _index[2])
+            _index = (self.path, after, _index[2])
         else:
             _index = None

@@ -33,7 +33,7 @@ import warnings
 
 from .cache import DomCache
 from .corpus import DEFAULT_SEED
-from .domsearch import DEFAULT_EDGE_CAP, Solver
+from .domsearch import DEFAULT_EDGE_CAP, dom
 from .exprs import SPACES, parse_graph_expr, parse_int
 from .formulas import dom_bounds
 from .graphs import CapExceeded, Orientation, complete
@@ -92,6 +92,13 @@ def _flag_int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _flag_dir(text: str) -> str:
+    """argparse type for --cache-dir: an empty name is refused, not taken as the default."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a directory name, got ''")
+    return text
+
+
 def _param(params: dict[str, str], name: str, key: str) -> str:
     if key not in params:
         raise ValueError(f"scheme {name!r} needs parameter {key!r}")
@@ -118,16 +125,15 @@ def _cmd_orient(args) -> int:
     else:
         G = load_graph(args.base) if args.base else parse_graph_expr(_param(params, name, "g"))
         H = parse_graph_expr(_param(params, name, "h"))
-        solver = Solver(args.max_edges)
         if name == "corona":
-            g_opt = solver.dom(G).witness
-            h_opt = solver.dom(join(H, complete(1))).witness
+            g_opt = dom(G, args.max_edges).witness
+            h_opt = dom(join(H, complete(1)), args.max_edges).witness
             digraph = corona_orientation(G, H, g_opt, h_opt)
         elif name == "cartesian":
-            g_opt = solver.dom(G).witness
+            g_opt = dom(G, args.max_edges).witness
             digraph = cartesian_orientation(g_opt, Orientation(H, 0), max_independent_set(H))
         else:  # lex; argparse's choices admit no other name
-            h_opt = solver.dom(H).witness
+            h_opt = dom(H, args.max_edges).witness
             digraph = lex_orientation(G, max_independent_set(G), h_opt)
     _write(format_digraph(digraph), args.out)
     return 0
@@ -142,9 +148,7 @@ def _cmd_dom(args) -> int:
         print("witness cached")
         print("explored 0")
         return 0
-    if cache and not cache.file_found:  # so an unusable cache directory fails before the scan
-        cache.directory.mkdir(parents=True, exist_ok=True)
-    result = Solver(args.max_edges).dom(graph)
+    result = dom(graph, args.max_edges)
     if cache:  # before any print, so a failed append prints no result
         cache.store(graph, result.value)
     print(f"value {result.value}")
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for existing callers; the scan runs in one process"
                              " (at least 1, default %(default)s)")
-    common.add_argument("--cache-dir", default=None,
+    common.add_argument("--cache-dir", type=_flag_dir, default=None,
                         help="dom's cache directory (env ORIDOM_CACHE_DIR overrides the default)")
     scans = argparse.ArgumentParser(add_help=False, parents=[common])
     scans.add_argument("--max-edges", type=_flag_int, default=DEFAULT_EDGE_CAP,

@@ -165,7 +165,34 @@ def test_cache_env_override(tmp_path, monkeypatch):
 def test_default_cache_dir_without_the_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("ORIDOM_CACHE_DIR", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
-    assert cache_mod.default_cache_dir() == tmp_path / ".cache" / "oridom"
+    assert cache_mod.default_cache_dir() == str(tmp_path / ".cache" / "oridom")
+
+
+@pytest.mark.parametrize("override", [None, ""], ids=["unset", "empty"])
+def test_dom_through_main_uses_the_home_cache_directory(override, tmp_path, monkeypatch, capsys):
+    # an empty ORIDOM_CACHE_DIR means unset
+    if override is None:
+        monkeypatch.delenv("ORIDOM_CACHE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("ORIDOM_CACHE_DIR", override)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    target = tmp_path / "g.ug"
+    target.write_text(format_graph(cycle(5)), encoding="utf-8")
+    assert main(["dom", "--graph", str(target)]) == 0
+    assert capsys.readouterr().out.startswith("value 3\nwitness ")
+    cache_file = tmp_path / ".cache" / "oridom" / "dom-cache.tsv"
+    assert cache_file.read_text(encoding="ascii") == _line(cycle(5), 3)
+    assert main(["dom", "--graph", str(target)]) == 0
+    assert capsys.readouterr().out == "value 3\nwitness cached\nexplored 0\n"
+    assert sorted(os.listdir(tmp_path)) == [".cache", "g.ug"]
+
+
+def test_lookup_that_finds_no_cache_file_makes_its_directory(tmp_path):
+    cache = DomCache(tmp_path / "a" / "b")
+    assert cache.lookup(path(4)) is None
+    assert os.listdir(cache.directory) == []  # the directory, but no file
+    cache.store(path(4), 3)
+    assert cache.lookup(path(4)) == 3
 
 
 def test_orient_command(tmp_path, capsys):
@@ -256,6 +283,27 @@ def test_flag_the_command_does_not_read_is_an_argument_error(argv, unread, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(unread)}\n")
+
+
+def test_empty_cache_dir_is_an_argument_error_on_every_command(tmp_path, monkeypatch, capsys):
+    # an empty name once fell back to ORIDOM_CACHE_DIR or ~/.cache/oridom
+    monkeypatch.setenv("ORIDOM_CACHE_DIR", str(tmp_path / "env"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    graph, digraph = tmp_path / "p3.ug", tmp_path / "c3.dg"
+    graph.write_text(format_graph(path(3)), encoding="utf-8")
+    digraph.write_text("dg 3 3\n0 1\n1 2\n2 0\n", encoding="utf-8")
+    for argv in (["construct", "path:3"], ["orient", "--scheme", "prism", "--params", "n=3"],
+                 ["dom", "--graph", str(graph)], ["dom", "--graph", str(graph), "--no-cache"],
+                 ["gamma", "--digraph", str(digraph)], ["rho", "--digraph", str(digraph)],
+                 ["bounds", "--graph", str(graph)], ["verify", "counterexample"], ["props"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cache-dir", ""])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --cache-dir: expected a directory name, got ''\n"), argv
+    assert sorted(os.listdir(tmp_path)) == ["c3.dg", "p3.ug"]
 
 
 def test_every_command_takes_workers_and_cache_dir(tmp_path, capsys):
@@ -433,7 +481,7 @@ def test_unusable_cache_dir_is_usage_error_before_the_scan(tmp_path, capsys, mon
     def no_scan(*args, **kwargs):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr("oridom.domsearch.dom", no_scan)
+    monkeypatch.setattr(cli, "dom", no_scan)
     for cache_dir in (not_a_dir, not_a_dir / "sub"):
         assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache_dir)]) == 2
         captured = capsys.readouterr()
@@ -525,8 +573,8 @@ def test_cache_value_that_is_not_ascii_digits_is_skipped(tmp_path, capsys):
     graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
     cache = DomCache(tmp_path / "cache")
     key = graph_key(cycle(5))
-    cache.directory.mkdir()
-    cache.path.write_text(
+    os.mkdir(cache.directory)
+    Path(cache.path).write_text(
         f"{key}\t-7\t{cache_mod.SOLVER_VERSION}\n{key}\t+3\t{cache_mod.SOLVER_VERSION}\n",
         encoding="utf-8")
     with pytest.warns(UserWarning, match="corrupt cache line") as record:
@@ -662,7 +710,7 @@ def test_cache_index_sees_every_change_to_the_file(tmp_path):
     # the modification time is put back each time, as on a file system with a
     # coarse clock or by cp -p, touch -r or os.utime, so it tells the index
     # nothing: the size does, and for a same-size rewrite the change time
-    mtime = cache.path.stat().st_mtime_ns
+    mtime = os.stat(cache.path).st_mtime_ns
     with open(cache.path, "a", encoding="utf-8") as handle:  # not through store
         handle.write(_line(H, 3))
     os.utime(cache.path, ns=(mtime, mtime))
@@ -671,15 +719,15 @@ def test_cache_index_sees_every_change_to_the_file(tmp_path):
         handle.write(_line(G, 12) + _line(H, 3))
     os.utime(cache.path, ns=(mtime, mtime))
     assert cache.lookup(G) == 12
-    ctime = cache.path.stat().st_ctime_ns
+    ctime = os.stat(cache.path).st_ctime_ns
     for _ in range(10_000):  # the clock that stamps the change time may be coarse
         with open(cache.path, "w", encoding="utf-8") as handle:  # same inode and length
             handle.write(_line(G, 12) + _line(H, 2))
         os.utime(cache.path, ns=(mtime, mtime))
-        if cache.path.stat().st_ctime_ns != ctime:
+        if os.stat(cache.path).st_ctime_ns != ctime:
             break
     assert DomCache(tmp_path).lookup(H) == 2
-    cache.path.unlink()
+    os.unlink(cache.path)
     assert cache.lookup(G) is None and cache.lookup(H) is None
 
 
@@ -729,14 +777,14 @@ def test_cache_store_sees_a_line_appended_between_its_fstats(tmp_path, monkeypat
     monkeypatch.setattr(cache_mod, "_read_index", lambda path: reads.append(path) or read_index(path))
     assert cache.lookup(H) == 3 and cache.lookup(K) == 4 and cache.lookup(G) == 2
     assert reads == [cache.path]  # the next lookup read the file again, once
-    assert cache.path.read_text(encoding="ascii") == _line(G, 2) + _line(H, 3) + _line(K, 4)
+    assert Path(cache.path).read_text(encoding="ascii") == _line(G, 2) + _line(H, 3) + _line(K, 4)
 
 
 def test_cache_store_makes_missing_directories(tmp_path):
     cache = DomCache(tmp_path / "a" / "b")
     cache.store(path(4), 3)
     assert cache.lookup(path(4)) == 3
-    assert cache.path.read_text(encoding="utf-8") == _line(path(4), 3)
+    assert Path(cache.path).read_text(encoding="utf-8") == _line(path(4), 3)
 
 
 def test_dom_miss_into_an_existing_cache_file_makes_no_directory(tmp_path, capsys, monkeypatch):
@@ -744,16 +792,16 @@ def test_dom_miss_into_an_existing_cache_file_makes_no_directory(tmp_path, capsy
     graph_file.write_text(format_graph(cycle(5)), encoding="utf-8")
     cache = DomCache(tmp_path / "cache")
     cache.store(path(3), 2)
-    listing, mtime = sorted(os.listdir(cache.directory)), cache.directory.stat().st_mtime_ns
+    listing, mtime = sorted(os.listdir(cache.directory)), os.stat(cache.directory).st_mtime_ns
 
-    def no_mkdir(self, *args, **kwargs):
-        raise AssertionError(f"mkdir {self}")
+    def no_makedirs(name, *args, **kwargs):
+        raise AssertionError(f"makedirs {name}")
 
-    monkeypatch.setattr(Path, "mkdir", no_mkdir)
+    monkeypatch.setattr(cache_mod.os, "makedirs", no_makedirs)
     assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(cache.directory)]) == 0
     assert capsys.readouterr().out.startswith("value 3\nwitness ")
     assert sorted(os.listdir(cache.directory)) == listing
-    assert cache.directory.stat().st_mtime_ns == mtime
+    assert os.stat(cache.directory).st_mtime_ns == mtime
     assert cache.lookup(cycle(5)) == 3 and cache.lookup(path(3)) == 2
 
 
@@ -764,17 +812,14 @@ def test_dom_hit_and_miss_stat_the_cache_file_once_and_build_no_path(tmp_path, c
     cache = DomCache(tmp_path / "cache")
     cache.store(cycle(5), 3)
     assert cache.lookup(cycle(5)) == 3  # the index is warm
-    name, stat, stats = str(cache.path), os.stat, []
+    name, stat, stats = cache.path, os.stat, []
 
     def counting_stat(file, *args, **kwargs):
         stats.append(str(file) == name)
         return stat(file, *args, **kwargs)
 
-    def no_path(*args):
-        raise AssertionError(f"Path{args}")
-
+    assert not hasattr(cache_mod, "Path")  # the cache path is a string end to end
     monkeypatch.setattr(cache_mod.os, "stat", counting_stat)
-    monkeypatch.setattr(cache_mod, "Path", no_path)
     for graph_file, out in ((hit, "value 3\nwitness cached\nexplored 0\n"), (miss, "value 2\n")):
         stats.clear()
         assert main(["dom", "--graph", str(graph_file), "--cache-dir", str(tmp_path / "cache")]) == 0
@@ -782,7 +827,7 @@ def test_dom_hit_and_miss_stat_the_cache_file_once_and_build_no_path(tmp_path, c
         assert stats.count(True) == 1
     monkeypatch.undo()
     assert cache.lookup(path(4)) == 2
-    assert cache.path.read_text(encoding="ascii") == _line(cycle(5), 3) + _line(path(4), 2)
+    assert Path(cache.path).read_text(encoding="ascii") == _line(cycle(5), 3) + _line(path(4), 2)
 
 
 def test_two_spellings_of_one_cache_directory_answer_from_its_file(tmp_path):
@@ -888,7 +933,7 @@ def test_two_concurrent_writers_share_one_cache(tmp_path):
         _, err = writer.communicate(timeout=120)
         assert writer.returncode == 0, err
     cache = DomCache(tmp_path / "cache")
-    lines = cache.path.read_text(encoding="utf-8").splitlines()
+    lines = Path(cache.path).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 400
     for line in lines:
         key, value, version = line.split("\t")
