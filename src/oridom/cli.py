@@ -3,7 +3,7 @@
 Subcommands: construct, orient, dom, gamma, rho, bounds, verify, props.
 Results print as key-value lines; verify/props print a PASS/FAIL table
 (or tab-separated lines with --porcelain). Exit codes: 0 all pass or
-skipped, 1 any failure, 2 usage error.
+skipped, 1 any failure, 2 usage error, 141 a closed stdout pipe.
 
 Each command takes only the flags it reads: every command takes --workers
 and --cache-dir; orient, dom, verify and props take --max-edges; verify
@@ -13,7 +13,11 @@ Commands do their work and raise; main is the one place that reports. A
 ValueError (a malformed file or expression, a graph over SIZE_CAP, bytes
 that are not UTF-8), an OSError (a missing input, an unwritable --out or
 cache file) or a CapExceeded from any command ends it with one
-``error: <message>`` line on stderr and exit 2.
+``error: <message>`` line on stderr and exit 2. A closed stdout pipe is
+not bad input: a BrokenPipeError, from a write or from the flush main
+makes before it returns, ends the command with exit 141 (a shell's
+status for SIGPIPE) and no ``error:`` line, and fd 1 then points at
+os.devnull, so the interpreter's exit flush stays quiet.
 
 How main works: arguments are parsed in one pass. When the first token
 names a command, main hands the rest straight to that command's parser, and
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import warnings
 
@@ -303,7 +308,14 @@ def main(argv=None) -> int:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's exit flush
+        return status
+    except BrokenPipeError:  # a reader that closed its end is no usage error: exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)  # the exit flush of the unwritten output then succeeds, quietly
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, CapExceeded) as exc:  # the one usage-error path
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,20 +17,21 @@ n - matching_number. On a bipartite graph this equals alpha (Konig), so
 there one matching gives both ends, and the scan ends at the first mask
 attaining the floor.
 
-Masks are built in numpy chunks, on a schedule _scan sets chunk by
-chunk; _chunk_rows only builds them. The first masks, [0, 8) or mask 0
-alone when floor meets ceiling, get an exact gamma in Python, and the
-chunks start after this exact prefix: on so few masks numpy's fixed cost
-outweighs the exact work. One counts as an exact evaluation iff it beats
+_scan walks the masks in one loop of chunks, on a schedule it sets chunk
+by chunk. Its first chunks, [0, 1), [1, 2), [2, 4) and [4, 8), or [0, 1)
+alone when floor meets ceiling, are the exact prefix: on so few masks
+numpy's fixed cost outweighs the exact work, so each of their masks gets
+an exact gamma in Python, and counts as an exact evaluation iff it beats
 the incumbent (what the exact filter passes), else as vector-filtered.
-A chunk starting at pos ends at 2 pos, or at 8 pos (_LAST_RISE_GROWTH)
+Every later chunk is built in numpy; _chunk_rows only builds it. A
+numpy chunk starting at pos ends at 2 pos, or at 8 pos (_LAST_RISE_GROWTH)
 once the incumbent is ceiling - 1 and the exact filter runs at it,
 capped at the next multiple of _CHUNK, so from _CHUNK on chunks are
-_CHUNK wide. An open scan's chunks start at 8 (8, 16, 32, ...); a scan
-whose floor meets its ceiling has a first chunk [1, _CLOSED_FIRST) =
-[1, 64) instead (then 64, 128, ... or, under the exact filter, 64, 512,
-4096, ...). Every later chunk start below _CHUNK is a power of two, and
-a scan that stops early builds few masks.
+_CHUNK wide. An open scan's numpy chunks start at 8 (8, 16, 32, ...); a
+scan whose floor meets its ceiling has a first numpy chunk
+[1, _CLOSED_FIRST) = [1, 64) instead (then 64, 128, ... or, under the
+exact filter, 64, 512, 4096, ...). Every later chunk start below _CHUNK
+is a power of two, and a scan that stops early builds few masks.
 
 Flipping edge (u, v) toggles bit v of row u and bit u of row v, since in
 a simple graph no other edge sets those bits, so flips compose by XOR: a
@@ -70,20 +71,19 @@ on down to single masks. Certified groups are never built below their
 level.
 
 Survivors get an exact branch-and-bound gamma with the incumbent as
-cutoff, on closed out-rows built from their mask in Python, as the first
-masks' are; the closed in-row of v is adj[v] & ~out[v] | v, since each
-edge is exactly one arc. The first survivor that raises the incumbent
-ends its chunk, so under the exact filter a chunk has at most one
-survivor that gets an exact gamma.
+cutoff, on closed out-rows built from their mask in Python, as the
+prefix masks' are; the closed in-row of v is adj[v] & ~out[v] | v, since
+each edge is exactly one arc. The first survivor that raises the
+incumbent ends its chunk, so under the exact filter a chunk has at most
+one survivor that gets an exact gamma.
 Reversing one arc changes gamma by at most 1: if S dominates D, then S
 plus the reversed arc's new tail dominates the result. A 2-fold or
 _CHUNK-wide chunk [pos, pos + w) with pos > 0 has pos a multiple of its
 width w, so clearing the lowest set bit of pos maps each of its masks to
 a mask below pos that differs in one edge. Every gamma in the chunk is
 thus at most the incumbent + 1, the incumbent rises at most once per
-chunk, and the masks after the rise cannot beat it. The prefix keeps
-this bound by walking [0, 8) as the chunks [0, 1), [1, 2), [2, 4) and
-[4, 8), the first of which has one mask anyway. At incumbent
+chunk, and the masks after the rise cannot beat it. The prefix chunks
+after [0, 1), which has one mask, are 2-fold too. At incumbent
 ceiling - 1, which a closed scan (floor = ceiling) starts at, any rise
 reaches the ceiling and stops the scan, so its chunks need no such
 bound: the wide first chunk and the 8-fold ones. The exact filter's
@@ -116,7 +116,7 @@ _SUBSET_BUDGET = 800
 _BLOCK = 1 << 15  # subset-column pairs per exact-filter block
 _GROUP_BITS = 3  # the cover tests certify aligned groups of 1 << _GROUP_BITS columns
 _GROUP_MIN = 1 << 10  # narrowest chunk that is grouped first
-_CLOSED_FIRST = 64  # where the first chunk of a scan whose floor meets its ceiling ends
+_CLOSED_FIRST = 64  # where the first numpy chunk of a scan whose floor meets its ceiling ends
 _LAST_RISE_GROWTH = 8  # chunk growth below _CHUNK once the next rise must stop the scan
 
 
@@ -334,38 +334,32 @@ def _scan(G: UndirectedGraph, floor: int, ceiling: int):
         into = [a & ~row | 1 << v for v, (a, row) in enumerate(zip(adj, out))]  # one arc per edge
         return _gamma_engine(out, into, n, best_val)[0]
 
-    # the exact prefix, in Python
     closed = floor == ceiling
-    prefix = min(stop, 1 if closed else 8)
-    mask = 0
-    while mask < prefix and best_val < ceiling:
-        value = exact(mask)
-        if value > best_val:  # what the exact filter passes (gamma >= 1 beats an incumbent of 0)
-            best_val, best_mask, exact_evals = value, mask, exact_evals + 1
-            mask = 1 << mask.bit_length()  # the one rise ends its chunk, [0, 1) or [2^k, 2^(k + 1))
+    prefix = 1 if closed else 8  # the exact prefix: its chunks are [0, 1), [1, 2), [2, 4), [4, 8)
+    pos = 0
+    while pos < stop and best_val < ceiling:
+        if pos < prefix:  # every mask gets an exact gamma, counted only if it beats the incumbent
+            end = 2 * pos or 1
+            offsets, filtered = range(end - pos), False
         else:
-            mask += 1
-
-    if best_val < ceiling and prefix < stop:
-        build = _chunk_rows(n, edges, stop)
-        pos = prefix
-        while pos < stop and best_val < ceiling:
             exact_filter = math.comb(n, best_val) <= _SUBSET_BUDGET
             # at ceiling - 1 any rise stops the scan, at its first exact survivor. A
             # closed sandwich has one possible rise, to the ceiling, and it stops the
             # scan; with no one-rise break to protect, its first chunk can be wide
             growth = _LAST_RISE_GROWTH if best_val == ceiling - 1 and exact_filter else 2
             end = min(stop, (pos & -_CHUNK) + _CHUNK, max(growth * pos, _CLOSED_FIRST if closed else 0))
-            depth = _group_depth(end - pos)
-            rows, tables = build(pos, end, depth)
-            for offset in map(int, _drop_covered(rows, n, best_val, edges, tables)):
-                value = exact(pos + offset)
-                exact_evals += 1
-                if value > best_val:
-                    # the chunk's one rise: no later mask in it can beat the new incumbent
-                    best_val, best_mask = value, pos + offset
-                    break
-            pos = end
+            if pos == prefix:  # the first numpy chunk
+                build = _chunk_rows(n, edges, stop)
+            rows, tables = build(pos, end, _group_depth(end - pos))
+            offsets, filtered = map(int, _drop_covered(rows, n, best_val, edges, tables)), True
+        for offset in offsets:
+            value = exact(pos + offset)
+            exact_evals += filtered or value > best_val  # a prefix mask that loses counts as filtered
+            if value > best_val:
+                # the chunk's one rise: no later mask in it can beat the new incumbent
+                best_val, best_mask = value, pos + offset
+                break
+        pos = end
 
     # masks after the stopping one do not count as explored
     ceiling_stop = int(best_val >= ceiling)

@@ -608,6 +608,25 @@ def test_corrupt_cache_line_prints_one_warning_line(tmp_path):
     assert done.stderr == "warning: skipping corrupt cache line 2: 'abc\\udcff\\t1\\t1'\n"
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["write", "flush"])
+def test_closed_stdout_pipe_exits_141_quietly(unbuffered):
+    # the reader closes its end before the command writes: unbuffered, the write
+    # raises BrokenPipeError; buffered, main's flush does. Neither is a usage error
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oridom.cli", "construct", "path:3"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+
+
 def test_main_restores_the_warning_format(tmp_path, capsys):
     before = warnings.formatwarning
     target = tmp_path / "g.ug"

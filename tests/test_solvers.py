@@ -880,6 +880,37 @@ def test_dom_filter_calls_are_pinned(G, filter_calls, monkeypatch):
     assert len(calls) == filter_calls
 
 
+@pytest.mark.parametrize(
+    "G, calls_default, calls_greedy",
+    [
+        (complete(7), 8, 10),
+        (cartesian(complete(3), complete(3)), 9, 24),
+        (multipartite(2, 2, 2), 9, 9),
+        (multipartite(1, 18), 2, 2),
+        (multipartite(2, 2, 4), 2, 375),
+        (cartesian(cycle(5), complete(2)), 9, 10),
+    ],
+    ids=["K_7", "K_3xK_3", "K_2,2,2", "K_1,18", "K_2,2,4", "C_5xK_2"],
+)
+def test_dom_gamma_engine_calls_are_pinned(G, calls_default, calls_greedy, monkeypatch):
+    # every exact gamma the scan asks for, at the default subset budget and under the
+    # greedy cover alone (budget 0); unlike exact_evals this counts the prefix masks
+    # that do not beat the incumbent
+    real, calls = domsearch._gamma_engine, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(domsearch, "_gamma_engine", counted)
+    dom(G)
+    assert len(calls) == calls_default
+    calls.clear()
+    monkeypatch.setattr(domsearch, "_SUBSET_BUDGET", 0)
+    dom(G)
+    assert len(calls) == calls_greedy
+
+
 _POWERS = [1 << k for k in range(3, 16)]  # 8, 16, ..., 32768
 
 
