@@ -20,12 +20,18 @@ status for SIGPIPE) and no ``error:`` line, and fd 1 then points at
 os.devnull, so the interpreter's exit flush stays quiet.
 
 How main works: arguments are parsed in one pass. When the first token
-names a command, main hands the rest straight to that command's parser, and
-any token it does not know goes to the top parser's "unrecognized arguments"
-error. Anything else (no arguments, -h, an unknown command) goes through the
-top parser, so every message is the one a full parse would give. A warning
-raised while a command runs (a corrupt cache line) prints as one
-``warning: <message>`` line on stderr.
+names a command, main reads the rest from that command's flag table, built
+on first use from what build_parser declares. The table accepts exact
+option strings, each once, one value after a store flag, store_true flags
+and at most one token per positional, where no value starts with '-', every
+type call and choice passes and every required flag is given. It declines
+every other argv (-h, --x=y, an abbreviation, a bad value), which the
+command's argparse parser then parses, so every help text and message is
+argparse's own; a token that parser does not know goes to the top parser's
+"unrecognized arguments" error. Anything else (no arguments, -h, an unknown
+command) goes through the top parser, so every message is the one a full
+parse would give. A warning raised while a command runs (a corrupt cache
+line) prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ from .verify import FAIL, SKIPPED, SUITE_NAMES, run_props, run_verify
 
 COMPOSITE_SCHEMES = ("corona", "cartesian", "lex")
 DESCRIPTION = ("Exact workbench for orientable domination. Exit codes: 0 success, 1 a"
-               " verify/props case failed, 2 usage error (one 'error:' line on stderr).")
+               " verify/props case failed, 2 usage error (one 'error:' line on stderr),"
+               " 141 a closed stdout pipe.")
 
 
 def _write(text: str, out: str | None):
@@ -290,6 +297,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # build_parser's parsers never change once built, so neither does a table
+def _flag_table(command: argparse.ArgumentParser):
+    """A command's option string -> action map, positional actions, starting defaults
+    and required actions; None if it has what _read_plain cannot read (a positional
+    that is not one plain value, an exclusive group, a string default to convert)."""
+    actions = command._actions
+    positionals = [a for a in actions if not a.option_strings]
+    if (command._mutually_exclusive_groups
+            or any(type(a) is not argparse._StoreAction or a.nargs is not None for a in positionals)
+            or any(isinstance(a.default, str) and a.default is not argparse.SUPPRESS for a in actions)):
+        return None
+    options = {text: a for a in actions if type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
+               for text in a.option_strings}
+    defaults = {}
+    for action in actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for dest, value in command._defaults.items():
+        defaults.setdefault(dest, value)
+    return options, positionals, defaults, {a for a in actions if a.required}
+
+
+def _read_plain(command: argparse.ArgumentParser, argv: list[str]):
+    """command.parse_known_args(argv)'s Namespace for an argv the flag table accepts
+    (see "How main works" above), or None for argparse to parse it."""
+    table = _flag_table(command)
+    if table is None:
+        return None
+    options, positionals, defaults, required = table
+    args = argparse.Namespace(**defaults)
+    seen = set()
+    tokens, waiting = iter(argv), iter(positionals)
+    for token in tokens:
+        if token.startswith("-"):  # -h, --, -, --x=y and abbreviations are in no table
+            action = options.get(token)
+            # a store flag's value; a missing one reads as "-", which is declined
+            text = next(tokens, "-") if action and action.nargs is None else None
+        else:
+            action, text = next(waiting, None), token
+        if action is None or action in seen or text is not None and text.startswith("-"):
+            return None
+        seen.add(action)
+        if text is None:  # a store_true flag
+            value = action.const
+        else:
+            try:  # the type call of argparse's _get_value
+                value = command._registry_get("type", action.type, action.type)(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+    return args if required <= seen else None
+
+
 def _warning_line(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
@@ -301,9 +363,11 @@ def main(argv=None) -> int:
     if command is None:
         args = parser.parse_args(argv)
     else:
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _read_plain(command, argv[1:])
+        if args is None:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.workers < 1:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line

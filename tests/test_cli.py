@@ -1,5 +1,7 @@
 import argparse
 import builtins
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oridom
 from oridom import cache as cache_mod
@@ -18,6 +22,7 @@ from oridom.graphs import build_graph, complete, cycle, multipartite, path
 from oridom.io import format_graph, parse_digraph, parse_graph
 from oridom.products import cartesian
 from oridom.solvers import gamma
+from oridom.verify import SUITE_NAMES
 
 
 def test_expr_parser():
@@ -646,6 +651,28 @@ def _full_parse(argv):
     return args
 
 
+def _returning_parser():
+    """A fresh top parser whose commands return their parsed arguments from main."""
+    parser = build_parser.__wrapped__()
+    for command in parser.commands.values():
+        command.set_defaults(func=lambda args: args)
+    return parser
+
+
+def _outcome(call, argv):
+    """What call(argv) returns or exits with (a Namespace without func and command),
+    and what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    if isinstance(result, argparse.Namespace):  # a parse that succeeded
+        result = {k: v for k, v in vars(result).items() if k not in ("func", "command")}
+    return result, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -653,24 +680,59 @@ def _full_parse(argv):
         ["props", "--seed", "x"], ["verify", "counterexample", "--workers", "0"], ["dom", "--help"],
         ["--workers", "1", "dom"], ["construct", "path:3", "--he"], ["orient", "--scheme", "nope"],
         ["dom", "--graph", "F", "--no-cache", "--stats", "--max-edges", "5"],
+        # forms the flag table declines, so argparse parses them
+        ["dom", "--graph=F"], ["dom", "--graph", "F", "--graph", "G"],
+        ["dom", "--graph", "F", "--max-edges", "-1"], ["dom", "--graph", "F", "--cache-dir", ""],
+        ["construct", "--", "path:3"],
     ],
     ids=lambda argv: " ".join(argv) or "none",
 )
-def test_one_pass_dispatch_matches_the_full_parse(argv, monkeypatch, capsys):
-    def outcome(call):
-        try:
-            result = call(argv)
-        except SystemExit as exc:
-            result = exc.code
-        if isinstance(result, argparse.Namespace):  # a parse that succeeded
-            result = {k: v for k, v in vars(result).items() if k not in ("func", "command")}
-        return result, *capsys.readouterr()
-
-    parser = build_parser.__wrapped__()
-    for command in parser.commands.values():  # main returns the parsed arguments
-        command.set_defaults(func=lambda args: args)
+def test_one_pass_dispatch_matches_the_full_parse(argv, monkeypatch):
+    parser = _returning_parser()
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
-    assert outcome(main) == outcome(_full_parse)
+    assert _outcome(main, argv) == _outcome(_full_parse, argv)
+
+
+_COMMANDS = sorted(build_parser().commands)
+_TOKENS = sorted({
+    *_COMMANDS,
+    *(text for command in build_parser().commands.values()
+      for action in command._actions for text in action.option_strings),
+    "--gr", "--graph=F", "-", "--", "-1", "", "1_0", "\u0663", "0",
+    *build_parser().commands["orient"]._option_string_actions["--scheme"].choices,
+    *SUITE_NAMES, "nope", "F", "path:3", "k=2,s=2", "1", "5",
+})
+_RETURNING = _returning_parser()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_COMMANDS), st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_flag_table_matches_the_full_parse_on_any_argv(command, rest):
+    argv = [command, *rest]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: _RETURNING)
+        assert _outcome(main, argv) == _outcome(_full_parse, argv)
+
+
+def test_well_formed_commands_never_reach_argparse(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed command line")
+
+    graph, digraph = tmp_path / "g.ug", tmp_path / "d.dg"
+    common = ["--workers", "1", "--cache-dir", str(tmp_path / "cache")]
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in (
+        ["construct", "path:3", "--out", str(graph)],
+        ["orient", "--scheme", "prism", "--params", "n=3", "--out", str(digraph)],
+        ["dom", "--graph", str(graph)],
+        ["gamma", "--digraph", str(digraph)],
+        ["rho", "--digraph", str(digraph)],
+        ["bounds", "--graph", str(graph)],
+        ["verify", "lex", "--seed", "1", "--porcelain"],
+        ["props", "--max-edges", "22", "--porcelain"],
+    ):
+        assert main(argv + common) == 0, argv
+    capsys.readouterr()
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
